@@ -10,9 +10,7 @@
 // simulated service shares one CPU, so holding the machinery equal is the
 // only fair isolation). The Milvus-like configuration disables Manu's
 // growing-segment slice indexes, so its backlog is searched raw — the
-// paper's mechanism. The standalone `MilvusLike` class in src/baselines
-// models the full single-write-node architecture and is exercised by the
-// unit tests.
+// paper's mechanism.
 
 #include <cstdio>
 

@@ -29,16 +29,15 @@ constexpr int64_t kPriceMod = 1000;  // price = row % 1000: sel(P) = P/1000.
 
 struct StrategyCase {
   const char* name;
-  bool enable;           // Planner on?
   FilterStrategy force;  // kNone = planner's own choice.
 };
 
 const StrategyCase kStrategies[] = {
-    {"postscan", true, FilterStrategy::kPostScan},
-    {"prefilter", true, FilterStrategy::kPreFilter},
-    {"traversal", true, FilterStrategy::kTraversal},
-    {"brute_matches", true, FilterStrategy::kBruteMatches},
-    {"planner", true, FilterStrategy::kNone},
+    {"postscan", FilterStrategy::kPostScan},
+    {"prefilter", FilterStrategy::kPreFilter},
+    {"traversal", FilterStrategy::kTraversal},
+    {"brute_matches", FilterStrategy::kBruteMatches},
+    {"planner", FilterStrategy::kNone},
 };
 
 float L2(const float* a, const float* b, int32_t dim) {
@@ -167,8 +166,7 @@ void Run(bench::BenchReport* report) {
           req.params.nprobe = 8;
           req.params.ef_search = 64;
           req.filter = expr.value().get();
-          req.filter_params.enable = strat.enable;
-          req.filter_params.force = strat.force;
+          req.force_strategy = strat.force;
           return req;
         };
 

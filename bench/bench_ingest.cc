@@ -1,12 +1,14 @@
 // WAL ingest bench: acked publishes/sec straight against the broker, with
-// and without group commit, under the simulated per-flush device latency
-// (the fsync / replication RTT a real log service pays once per group).
+// groups of one ("off", group_max_entries = 1) and with full group commit
+// ("on", the default group size), under the simulated per-flush device
+// latency (the fsync / replication RTT a real log service pays once per
+// group).
 //
-// Expected shape: with group commit OFF every publish pays the full flush
+// Expected shape: with groups of one every publish pays the full flush
 // latency serially, so a channel tops out near 1/latency regardless of
-// publisher count. With group commit ON the flush leader batches every
-// staged publisher into one flush, so acked throughput scales with
-// concurrency — the ISSUE's acceptance floor is >= 5x at 8 publishers.
+// publisher count. With group commit the flush leader batches every staged
+// publisher into one flush, so acked throughput scales with concurrency —
+// the acceptance floor is >= 5x at 8 publishers.
 
 #include <cstdio>
 #include <string>
@@ -36,8 +38,7 @@ LogEntry MakeEntry(Timestamp ts) {
 
 double RunArm(bool grouped, int32_t publishers, int64_t duration_ms) {
   WalOptions opt;
-  opt.group_commit = grouped;
-  opt.group_max_entries = kGroupMax;
+  opt.group_max_entries = grouped ? kGroupMax : 1;  // 1 = groups of one.
   opt.flush_linger_us = 0;  // Natural batching only: whatever queued.
   opt.sim_flush_latency_us = kFlushLatencyUs;
   MessageQueue mq(opt);

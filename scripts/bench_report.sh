@@ -8,7 +8,8 @@
 #   BENCH_overload_brownout.json — goodput / shed / brownout stage per
 #                               offered-load multiple from bench_overload
 #   BENCH_ingest.json         — acked WAL publishes/sec per publisher count,
-#                               group commit off vs on, from bench_ingest
+#                               groups of one (off) vs group commit (on),
+#                               from bench_ingest
 #   BENCH_filtered.json       — filtered-search selectivity sweep: QPS /
 #                               recall@50 per strategy vs the post-scan
 #                               baseline, from bench_filtered
@@ -49,7 +50,7 @@ echo "=== overload: brownout ladder goodput ==="
 MANU_BENCH_JSON="$ROOT/BENCH_overload_brownout.json" \
   ./build/bench/bench_overload
 
-echo "=== WAL ingest: group commit off vs on ==="
+echo "=== WAL ingest: groups of one vs group commit ==="
 MANU_BENCH_JSON="$ROOT/BENCH_ingest.json" \
   ./build/bench/bench_ingest
 

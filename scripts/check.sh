@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Full verification matrix:
 #   0. metrics-name lint (scripts/metrics_lint.sh)
-#   1. release build, complete ctest suite (unit + e2e + chaos + perf)
+#   1. release build, complete ctest suite (unit + e2e + chaos + perf),
+#      then the end-to-end benchmark's own smoke test
+#      (perfbench/smoke_test.py: recall, acked inserts and metric shape at
+#      tiny sizes; about 2 min), so a default change under src/ that breaks
+#      the benchmark fails here
 #   2. AddressSanitizer build, ctest -LE perf (chaos suite included)
 #   3. ThreadSanitizer build,  ctest -LE perf (chaos suite included)
 #
@@ -25,6 +29,7 @@ echo "=== release: build + full test suite ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+python3 perfbench/smoke_test.py
 
 run_sanitized() {
   local san="$1" dir="$2"

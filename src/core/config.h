@@ -50,14 +50,11 @@ struct ManuConfig {
   /// larger grains amortize dispatch when segments are tiny.
   int64_t search_parallel_grain = 1;
 
-  // --- WAL group commit (ROADMAP item 1, BtrLog recipe) ---
-  // All default off/compatible: the broker behaves exactly like the
-  // pre-group-commit publish path (each publish is its own commit group)
-  // until a deployment opts in. bench_ingest arms them.
-  /// Batch concurrently staged publishes into one flush + one collective
-  /// ack per channel (publishers block on a commit ticket; the flush
-  /// leader installs the whole group atomically).
-  bool wal_group_commit = false;
+  // --- WAL group commit (BtrLog recipe) ---
+  // Every publish goes through group commit: concurrently staged publishes
+  // on a channel share one flush and one collective ack (publishers block
+  // on a commit ticket; the flush leader installs the whole group
+  // atomically). bench_ingest measures it against groups of one.
   /// Max entries per commit group.
   int64_t wal_group_max_entries = 256;
   /// Flush-leader linger (us) waiting for a group to fill before flushing
@@ -192,27 +189,13 @@ struct ManuConfig {
   int64_t placement_drain_timeout_ms = 0;
 
   // --- Filtered search (index/filter_index.h, core/filter_planner.h) ---
-  // All knobs default off: search behaves exactly like the legacy
-  // post-filter path until a deployment opts in. See DESIGN.md Section 14.
+  // See DESIGN.md Section 14. The filter planner always plans by cost; its
+  // thresholds are constants in core/filter_planner.h.
   /// Index nodes build + persist a per-segment attribute-index artifact
   /// (FilterIndex) beside the vector index; query nodes load it on
-  /// LoadSealedSegment instead of rebuilding scalar indexes locally.
+  /// LoadSealedSegment instead of building the same FilterIndex locally.
+  /// Off (default) = every query node builds it.
   bool filter_index_enable = false;
-  /// Cost-based per-segment filter planner (strategy: prefilter /
-  /// filtered traversal / brute-force-over-matches). Off = the legacy
-  /// fixed heuristic.
-  bool filter_planner_enable = false;
-  /// Below this estimated selectivity the planner brute-forces distances
-  /// over just the matching rows (exact, and cheaper than any index
-  /// traversal — the measured crossover sits near 15%, bench_filtered).
-  double filter_brute_threshold = 0.15;
-  /// Below this selectivity (and above brute) the planner uses
-  /// filter-aware traversal on engines that support it; at or above it the
-  /// allowed-mask pre-filter path wins.
-  double filter_prefilter_threshold = 0.5;
-  /// Filtered HNSW traversal may adaptively double ef up to
-  /// ef * this cap when the beam surfaces fewer than k passing rows.
-  double filter_ef_inflation_cap = 16.0;
 
   // --- Observability (common/trace.h) ---
   /// Retain every Nth request trace in the in-memory collector; <= 0

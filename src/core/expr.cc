@@ -157,13 +157,6 @@ class LabelCompareExpr : public FilterExpr {
       if (negated_) out->Not();
       return Status::OK();
     }
-    const LabelIndex* index =
-        ctx.label_index ? ctx.label_index(field_) : nullptr;
-    if (index != nullptr && index->NumRows() == ctx.num_rows) {
-      index->EqualsQuery(value_, out);
-      if (negated_) out->Not();
-      return Status::OK();
-    }
     const FieldColumn* col = ctx.column ? ctx.column(field_) : nullptr;
     if (col == nullptr || col->type != DataType::kString) {
       return Status::NotFound("label filter column unavailable");
@@ -184,12 +177,6 @@ class LabelCompareExpr : public FilterExpr {
         ctx.label_bitmap ? ctx.label_bitmap(field_) : nullptr;
     if (bitmap != nullptr && bitmap->NumRows() == ctx.num_rows) {
       const double eq = static_cast<double>(bitmap->PostingSize(value_)) / n;
-      return negated_ ? 1.0 - eq : eq;
-    }
-    const LabelIndex* index =
-        ctx.label_index ? ctx.label_index(field_) : nullptr;
-    if (index != nullptr && index->NumRows() == ctx.num_rows) {
-      const double eq = static_cast<double>(index->PostingSize(value_)) / n;
       return negated_ ? 1.0 - eq : eq;
     }
     ConcurrentBitset tmp(static_cast<size_t>(ctx.num_rows));

@@ -16,14 +16,12 @@ namespace manu {
 enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
 /// Per-segment evaluation context: row count plus accessors for raw columns
-/// and (optionally) attribute indexes. Null accessor results fall back to a
-/// raw column scan. `label_bitmap` (the persisted FilterIndex artifact form)
-/// is preferred over `label_index` when both resolve.
+/// and (optionally) the FilterIndex's attribute indexes. Null accessor
+/// results fall back to a raw column scan.
 struct FilterContext {
   int64_t num_rows = 0;
   std::function<const FieldColumn*(FieldId)> column;
   std::function<const ScalarSortedIndex*(FieldId)> scalar_index;
-  std::function<const LabelIndex*(FieldId)> label_index;
   std::function<const LabelBitmapIndex*(FieldId)> label_bitmap;
 };
 

@@ -5,7 +5,6 @@ namespace manu {
 const char* FilterStrategyName(FilterStrategy s) {
   switch (s) {
     case FilterStrategy::kNone:         return "none";
-    case FilterStrategy::kLegacy:       return "legacy";
     case FilterStrategy::kPostScan:     return "postscan";
     case FilterStrategy::kPreFilter:    return "prefilter";
     case FilterStrategy::kTraversal:    return "traversal";
@@ -25,12 +24,14 @@ bool SupportsFilteredTraversal(IndexType type) {
   }
 }
 
-FilterPlan PlanFilter(const FilterPlannerParams& params, double selectivity,
-                      bool has_index, IndexType index_type) {
+FilterPlan PlanFilter(FilterStrategy force, bool has_filter,
+                      double selectivity, bool has_index,
+                      bool supports_traversal) {
   FilterPlan plan;
   plan.selectivity = selectivity;
-  if (params.force != FilterStrategy::kNone) {
-    plan.strategy = params.force;
+  if (!has_filter) return plan;
+  if (force != FilterStrategy::kNone) {
+    plan.strategy = force;
     return plan;
   }
   // Cost model, in expected distance computations over n rows:
@@ -39,14 +40,13 @@ FilterPlan PlanFilter(const FilterPlannerParams& params, double selectivity,
   //   filtered traversal:  index cost with the waste pruned, but beam /
   //                        probe inflation ~ 1/sel, profitable only while
   //                        the mask is sparse enough to prune real work.
-  if (!has_index || selectivity < params.brute_threshold) {
-    // Without a full-coverage index every path is a scan, and scanning only
-    // the matches is never worse than scanning everything.
+  if (!has_index || selectivity < kFilterBruteThreshold) {
+    // Without an index every path is a scan, and scanning only the matches
+    // is never worse than scanning everything.
     plan.strategy = FilterStrategy::kBruteMatches;
     return plan;
   }
-  if (selectivity < params.prefilter_threshold &&
-      SupportsFilteredTraversal(index_type)) {
+  if (selectivity < kFilterPrefilterThreshold && supports_traversal) {
     plan.strategy = FilterStrategy::kTraversal;
     return plan;
   }

@@ -13,7 +13,6 @@ namespace manu {
 /// segment").
 enum class FilterStrategy : uint8_t {
   kNone = 0,      ///< Request carries no filter.
-  kLegacy,        ///< Planner disabled: the pre-planner A/B/C heuristic.
   kPostScan,      ///< Unmasked ANN, intersect afterwards (baseline; only
                   ///< ever chosen when forced — it exists so benches and
                   ///< equivalence tests can measure the planner against the
@@ -26,22 +25,15 @@ enum class FilterStrategy : uint8_t {
 
 const char* FilterStrategyName(FilterStrategy s);
 
-/// Planner knobs. Carried per-request from ManuConfig (all off by default:
-/// with `enable == false` every segment takes the legacy path).
-struct FilterPlannerParams {
-  bool enable = false;
-  /// Force one strategy regardless of cost (bench / equivalence-test hook).
-  FilterStrategy force = FilterStrategy::kNone;
-  /// Selectivity below which brute-forcing the matches beats any index
-  /// (exact scan over sel*n rows vs a masked ANN probe; the measured
-  /// crossover on clustered data sits near 15%, see bench_filtered).
-  double brute_threshold = 0.15;
-  /// Selectivity below which filtered traversal beats a plain masked scan;
-  /// above it the mask is dense enough that pre-filtering wins.
-  double prefilter_threshold = 0.5;
-  /// Cap on the adaptive ef multiplier under filtered HNSW traversal.
-  double ef_inflation_cap = 16.0;
-};
+/// Selectivity below which brute-forcing the matches beats any index
+/// (exact scan over sel*n rows vs a masked ANN probe; the measured
+/// crossover on clustered data sits near 15%, see bench_filtered).
+constexpr double kFilterBruteThreshold = 0.15;
+/// Selectivity below which filtered traversal beats a plain masked scan;
+/// above it the mask is dense enough that pre-filtering wins.
+constexpr double kFilterPrefilterThreshold = 0.5;
+/// Cap on the ef / nprobe multiplier under filtered traversal.
+constexpr double kFilterEfInflationCap = 16.0;
 
 /// The plan for one segment: chosen strategy plus the selectivity estimate
 /// that drove the choice (tagged on the segment.scan span and exported via
@@ -55,10 +47,15 @@ struct FilterPlan {
 /// SearchParams::filtered_traversal.
 bool SupportsFilteredTraversal(IndexType type);
 
-/// Cost-based strategy choice for one segment. `index_type` is only
-/// meaningful when `has_index` (an index covering all segment rows).
-FilterPlan PlanFilter(const FilterPlannerParams& params, double selectivity,
-                      bool has_index, IndexType index_type);
+/// Cost-based strategy choice for one segment, the only place a filtered
+/// search picks its strategy. No filter plans kNone; otherwise a `force`
+/// other than kNone wins (bench / equivalence-test hook). `has_index`: an
+/// ANN path covers the segment's rows and takes the allowed mask (a sealed
+/// segment's full index, a growing segment's slice indexes);
+/// `supports_traversal`: that path also runs filter-aware traversal.
+FilterPlan PlanFilter(FilterStrategy force, bool has_filter,
+                      double selectivity, bool has_index,
+                      bool supports_traversal);
 
 }  // namespace manu
 

@@ -94,7 +94,6 @@ ManuInstance::ManuInstance(ManuConfig config,
                              config_.slow_query_trace_ms * 1000);
 
   WalOptions wal_options;
-  wal_options.group_commit = config_.wal_group_commit;
   wal_options.group_max_entries = config_.wal_group_max_entries;
   wal_options.flush_linger_us = config_.wal_flush_linger_us;
   wal_options.sim_flush_latency_us = config_.wal_sim_flush_latency_us;

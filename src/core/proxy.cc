@@ -213,6 +213,7 @@ Result<SearchResult> Proxy::SearchOnce(const SearchRequest& req,
   for (auto& r : plan.routes) {
     NodeSearchRequest nreq = base;
     nreq.sealed_filter = r.sealed_filter;
+    nreq.plan_handoff_seq = plan.handoff_seq;
     auto node = r.node;
     futures.push_back(pool_.Submit(
         [node, prep, nreq = std::move(nreq)]() { return node->Search(nreq); }));
@@ -454,7 +455,10 @@ std::vector<Result<SearchResult>> Proxy::BatchSearch(
     for (auto& r : plan.routes) {
       auto node_batch =
           std::make_shared<std::vector<NodeSearchRequest>>(*batch);
-      for (auto& nreq : *node_batch) nreq.sealed_filter = r.sealed_filter;
+      for (auto& nreq : *node_batch) {
+        nreq.sealed_filter = r.sealed_filter;
+        nreq.plan_handoff_seq = plan.handoff_seq;
+      }
       auto node = r.node;
       futures.push_back(pool_.Submit([node, prepared, node_batch]() {
         return node->SearchBatch(*node_batch);

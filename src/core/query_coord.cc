@@ -416,6 +416,7 @@ QueryCoordinator::Plan QueryCoordinator::PlanFor(
     CollectionId collection) const {
   std::lock_guard<std::mutex> lk(mu_);
   Plan plan;
+  plan.handoff_seq = handoff_seq_;
   auto it = serving_.find(collection);
   if (it == serving_.end()) return plan;
   const CollectionServing& serving = it->second;
@@ -541,9 +542,13 @@ void QueryCoordinator::OnSegmentReady(const SegmentMeta& meta) {
   }
   if (targets.empty()) return;
 
+  // Plans taken before this point route the segment as growing; the
+  // sequence number lets the node that retires the growing twin keep
+  // scanning the sealed copy for them.
+  const uint64_t handoff_seq = ++handoff_seq_;
   std::vector<NodeId> loaded;
   for (const auto& target : targets) {
-    Status st = target->LoadSealedSegment(meta, serving.schema);
+    Status st = target->LoadSealedSegment(meta, serving.schema, handoff_seq);
     if (!st.ok()) {
       MANU_LOG_ERROR << "segment load failed: " << st.ToString();
       continue;

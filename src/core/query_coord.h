@@ -104,6 +104,9 @@ class QueryCoordinator : public PlacementHost {
   struct Plan {
     std::vector<NodeRoute> routes;
     int64_t unroutable = 0;
+    /// Growing->sealed handoffs applied when the plan was taken
+    /// (NodeSearchRequest::plan_handoff_seq).
+    uint64_t handoff_seq = 0;
   };
 
   /// Load-aware routing plan: every shard channel owner is included (they
@@ -186,6 +189,9 @@ class QueryCoordinator : public PlacementHost {
   std::thread thread_;
   /// Per-plan counter feeding the deterministic p2c candidate draw.
   mutable std::atomic<uint64_t> route_seq_{0};
+  /// Growing->sealed handoffs applied so far (mu_). OnSegmentReady runs
+  /// entirely under mu_, so a plan sees a handoff whole or not at all.
+  uint64_t handoff_seq_ = 0;
 };
 
 }  // namespace manu

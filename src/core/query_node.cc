@@ -282,7 +282,8 @@ void QueryNode::HandleEntry(ChannelState* ch, const LogEntry& entry) {
 }
 
 Status QueryNode::LoadSealedSegment(
-    const SegmentMeta& meta, std::shared_ptr<const CollectionSchema> schema) {
+    const SegmentMeta& meta, std::shared_ptr<const CollectionSchema> schema,
+    uint64_t handoff_seq) {
   MANU_FAILPOINT("query_node.load_segment");
   const RetryPolicy retry = MakeIoRetryPolicy(ctx_.config);
   // Load outside the lock (object-store IO), install under the lock.
@@ -296,8 +297,8 @@ Status QueryNode::LoadSealedSegment(
   auto segment = std::make_shared<SealedSegment>(meta.id, schema.get());
   MANU_RETURN_NOT_OK(segment->SetRows(rows));
   // Prefer the index node's persisted attribute-index artifact over
-  // rebuilding scalar indexes locally; any load failure falls back to the
-  // local build (the artifact is an acceleration, never a prerequisite).
+  // building the same FilterIndex locally; any load failure falls back to
+  // the local build (the artifact is an acceleration, never a prerequisite).
   bool filter_loaded = false;
   if (!meta.filter_index_path.empty()) {
     auto load_filter = [&]() -> Status {
@@ -319,7 +320,7 @@ Status QueryNode::LoadSealedSegment(
       MetricsRegistry::Global().GetCounter("filter.index_loads")->Add(1);
     } else {
       MANU_LOG_WARN << "query node " << id_ << " filter index load failed ("
-                    << st.ToString() << "), rebuilding scalar indexes";
+                    << st.ToString() << "), building it locally";
       MetricsRegistry::Global()
           .GetCounter("filter.index_load_failures")
           ->Add(1);
@@ -372,7 +373,9 @@ Status QueryNode::LoadSealedSegment(
   coll.sealed[meta.id] = std::move(segment);
   coll.sealed_meta[meta.id] = meta;
   // The growing twin is now redundant on *this* node.
-  coll.growing.erase(meta.id);
+  if (coll.growing.erase(meta.id) > 0 && handoff_seq > 0) {
+    coll.handoff_seq[meta.id] = handoff_seq;
+  }
   coll.growing_shard.erase(meta.id);
   MetricsRegistry::Global().GetCounter("query_node.segments_loaded")->Add(1);
   return Status::OK();
@@ -393,6 +396,7 @@ void QueryNode::ReleaseSegment(CollectionId collection, SegmentId segment) {
   if (it != collections_.end()) {
     it->second.sealed.erase(segment);
     it->second.sealed_meta.erase(segment);
+    it->second.handoff_seq.erase(segment);
   }
 }
 
@@ -566,12 +570,18 @@ Result<std::vector<SegmentHit>> QueryNode::SearchInternal(
     }
     // A routing plan narrows the sealed scan to this node's assigned share
     // (replica routing: one load-chosen owner per segment); an empty filter
-    // keeps the scan-everything behavior for direct callers.
+    // keeps the scan-everything behavior for direct callers. A segment
+    // handed off here after the plan was taken is scanned too: the plan
+    // counted on its growing twin, which the handoff retired.
     const bool planned = !req.sealed_filter.empty();
+    const auto& handed_off = it->second.handoff_seq;
     for (const auto& [seg_id, seg] : it->second.sealed) {
       if (planned && !std::binary_search(req.sealed_filter.begin(),
                                          req.sealed_filter.end(), seg_id)) {
-        continue;
+        auto h = handed_off.find(seg_id);
+        if (h == handed_off.end() || h->second <= req.plan_handoff_seq) {
+          continue;
+        }
       }
       sealed.push_back(seg);
     }
@@ -597,13 +607,6 @@ Result<std::vector<SegmentHit>> QueryNode::SearchInternal(
   span.Tag("segments", num_segments);
   span.Tag("tombstones", tombstones);
 
-  FilterPlannerParams filter_params;
-  filter_params.enable = ctx_.config.filter_planner_enable;
-  filter_params.force = req.force_filter_strategy;
-  filter_params.brute_threshold = ctx_.config.filter_brute_threshold;
-  filter_params.prefilter_threshold = ctx_.config.filter_prefilter_threshold;
-  filter_params.ef_inflation_cap = ctx_.config.filter_ef_inflation_cap;
-
   // Single-vector per-segment top-k.
   auto single_search = [&](int64_t i) -> Status {
     const SearchTarget& target = req.targets[0];
@@ -613,7 +616,6 @@ Result<std::vector<SegmentHit>> QueryNode::SearchInternal(
     sreq.params = req.params;
     sreq.read_ts = req.read_ts;
     sreq.filter = req.filter;
-    sreq.filter_params = filter_params;
     sreq.plan_out = &plans[i];
     auto hits = i < num_sealed ? sealed[i]->Search(sreq)
                                : growing[i - num_sealed]->Search(sreq);
@@ -642,7 +644,6 @@ Result<std::vector<SegmentHit>> QueryNode::SearchInternal(
       sreq.params.k = cand_k;
       sreq.read_ts = req.read_ts;
       sreq.filter = req.filter;
-      sreq.filter_params = filter_params;
       sreq.plan_out = &plans[i];
       auto hits = i < num_sealed ? sealed[i]->Search(sreq)
                                  : growing[i - num_sealed]->Search(sreq);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -55,11 +56,13 @@ struct NodeSearchRequest {
   /// of every owner. Growing segments are always scanned — they exist only
   /// on the shard primary.
   std::vector<SegmentId> sealed_filter;
+  /// QueryCoordinator::Plan::handoff_seq of the plan sealed_filter came
+  /// from. A sealed segment that replaced this node's growing twin in a
+  /// later handoff is in no route's filter (the plan saw it growing, here),
+  /// so the node scans it on top of the filter. The default keeps the
+  /// filter exact for callers without a plan.
+  uint64_t plan_handoff_seq = std::numeric_limits<uint64_t>::max();
   const FilterExpr* filter = nullptr;
-  /// Overrides the filter planner's strategy choice on every segment
-  /// (kNone = let the planner / legacy heuristic decide). Bench and
-  /// equivalence-test hook; ignored when `filter` is null.
-  FilterStrategy force_filter_strategy = FilterStrategy::kNone;
   /// Tracing context of the originating request (inactive by default, which
   /// makes every span on the node path a no-op). Spans opened here parent
   /// to the proxy's fan-out (or retry) span.
@@ -105,8 +108,12 @@ class QueryNode {
   /// inserts-only and this node's channel subscriptions are past those
   /// entries, so without the backfill a handed-off segment would resurrect
   /// rows deleted before the compaction floor); replaces any growing twin.
+  /// `handoff_seq` > 0 marks a growing->sealed handoff: if a growing twin
+  /// is replaced, searches planned before that handoff still scan the
+  /// sealed copy (NodeSearchRequest::plan_handoff_seq).
   Status LoadSealedSegment(const SegmentMeta& meta,
-                           std::shared_ptr<const CollectionSchema> schema);
+                           std::shared_ptr<const CollectionSchema> schema,
+                           uint64_t handoff_seq = 0);
 
   /// Drops the growing copy of `segment` (after its sealed twin is loaded
   /// somewhere).
@@ -182,6 +189,9 @@ class QueryNode {
     std::map<SegmentId, ShardId> growing_shard;
     std::map<SegmentId, std::shared_ptr<SealedSegment>> sealed;
     std::map<SegmentId, SegmentMeta> sealed_meta;
+    /// Sealed segments that replaced a growing twin here, by handoff
+    /// sequence number (LoadSealedSegment).
+    std::map<SegmentId, uint64_t> handoff_seq;
     /// Delete tombstones consumed so far, re-applied to late-loaded
     /// segments: pk -> sorted unique delete LSNs. Every tombstone is kept
     /// with its own LSN (collapsing to the max would hide the pre-reinsert

@@ -7,21 +7,6 @@
 
 namespace manu {
 
-namespace {
-/// Legacy strategy thresholds for attribute filtering (Section 3.6), used
-/// when the cost-based planner is disabled (filter_params.enable == false):
-///   sel < kScanThreshold      -> (C) predicate-first: brute-force only the
-///                                matching rows (few matches, exact).
-///   graph index & sel < 0.5   -> (B) widened beam: pre-filter mask plus an
-///                                ef inflated by ~1/sel so the beam still
-///                                reaches k passing results.
-///   otherwise                 -> (A) pre-filter mask straight into the
-///                                index scan.
-/// With the planner enabled, core/filter_planner.h chooses instead (and can
-/// additionally pick filtered traversal or the forced post-scan baseline).
-constexpr double kScanThreshold = 0.05;
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // SegmentCore
 // ---------------------------------------------------------------------------
@@ -96,16 +81,7 @@ FilterContext SegmentCore::MakeFilterContext() const {
   ctx.num_rows = NumRows();
   ctx.column = [this](FieldId id) { return rows_.ColumnByFieldId(id); };
   ctx.scalar_index = [this](FieldId id) -> const ScalarSortedIndex* {
-    if (filter_index_ != nullptr) {
-      const ScalarSortedIndex* index = filter_index_->scalar(id);
-      if (index != nullptr) return index;
-    }
-    auto it = scalar_indexes_.find(id);
-    return it == scalar_indexes_.end() ? nullptr : &it->second;
-  };
-  ctx.label_index = [this](FieldId id) -> const LabelIndex* {
-    auto it = label_indexes_.find(id);
-    return it == label_indexes_.end() ? nullptr : &it->second;
+    return filter_index_ == nullptr ? nullptr : filter_index_->scalar(id);
   };
   ctx.label_bitmap = [this](FieldId id) -> const LabelBitmapIndex* {
     return filter_index_ == nullptr ? nullptr : filter_index_->label(id);
@@ -168,16 +144,9 @@ Result<std::vector<SegmentHit>> SegmentCore::Search(
 
   const bool covered = index != nullptr && index->Size() == NumRows();
 
-  FilterPlan plan;
-  plan.selectivity = mask.selectivity;
-  if (req.filter == nullptr) {
-    plan.strategy = FilterStrategy::kNone;
-  } else if (!req.filter_params.enable) {
-    plan.strategy = FilterStrategy::kLegacy;
-  } else {
-    plan = PlanFilter(req.filter_params, mask.selectivity, covered,
-                      covered ? index->type() : IndexType::kFlat);
-  }
+  const FilterPlan plan =
+      PlanFilter(req.force_strategy, req.filter != nullptr, mask.selectivity,
+                 covered, covered && SupportsFilteredTraversal(index->type()));
   if (req.plan_out != nullptr) *req.plan_out = plan;
 
   // Scans exactly the mask's member rows (exact; cost ~ sel * n distances).
@@ -214,24 +183,6 @@ Result<std::vector<SegmentHit>> SegmentCore::Search(
 
   std::vector<Neighbor> neighbors;
   switch (plan.strategy) {
-    case FilterStrategy::kLegacy: {
-      bool scan_allowed_only =
-          mask.selectivity < kScanThreshold || index == nullptr;
-      if (!scan_allowed_only && index->type() == IndexType::kHnsw) {
-        // Strategy B: widen the beam so ~k passing hits survive the mask.
-        const double inflate =
-            std::min(16.0, 1.0 / std::max(mask.selectivity, 1e-3));
-        sp.ef_search = static_cast<int32_t>(sp.ef_search * inflate);
-      }
-      if (scan_allowed_only) {
-        neighbors = scan_matches();  // Strategy C.
-      } else if (covered) {
-        MANU_ASSIGN_OR_RETURN(neighbors, index->Search(req.query, sp));
-      } else {
-        neighbors = brute_force();
-      }
-      break;
-    }
     case FilterStrategy::kBruteMatches:
       neighbors = scan_matches();
       break;
@@ -241,13 +192,13 @@ Result<std::vector<SegmentHit>> SegmentCore::Search(
         break;
       }
       sp.filtered_traversal = true;
-      sp.traversal_ef_cap = req.filter_params.ef_inflation_cap;
+      sp.traversal_ef_cap = kFilterEfInflationCap;
       // Selectivity-aware widening: IVF prunes probed lists to allowed
       // rows, so probe proportionally more lists; HNSW's beam must be wide
       // enough to surface the *nearest* passing rows, not merely k passing
       // rows (the adaptive retry in the index only guards against
       // starvation, not against a too-narrow first beam).
-      const double inflate = std::min(req.filter_params.ef_inflation_cap,
+      const double inflate = std::min(kFilterEfInflationCap,
                                       1.0 / std::max(mask.selectivity, 1e-3));
       sp.nprobe = static_cast<int32_t>(
           std::min<double>(1 << 20, sp.nprobe * inflate));
@@ -426,22 +377,12 @@ Result<std::vector<SegmentHit>> GrowingSegment::Search(
     return true;
   };
 
-  FilterPlan plan;
-  plan.selectivity = mask.selectivity;
-  if (req.filter == nullptr) {
-    plan.strategy = FilterStrategy::kNone;
-  } else if (!req.filter_params.enable) {
-    plan.strategy = FilterStrategy::kLegacy;
-  } else if (req.filter_params.force != FilterStrategy::kNone) {
-    plan.strategy = req.filter_params.force;
-  } else if (mask.selectivity < req.filter_params.brute_threshold) {
-    // Growing segments have no full-coverage index, only temporary slice
-    // indexes; below the brute threshold, scanning just the matches beats
-    // the slice scans outright.
-    plan.strategy = FilterStrategy::kBruteMatches;
-  } else {
-    plan.strategy = FilterStrategy::kPreFilter;
-  }
+  // The slice indexes are the growing segment's ANN path; they apply the
+  // mask after each slice search, so there is no filter-aware traversal.
+  // Every strategy but kBruteMatches runs the slice path.
+  const FilterPlan plan =
+      PlanFilter(req.force_strategy, req.filter != nullptr, mask.selectivity,
+                 /*has_index=*/true, /*supports_traversal=*/false);
   if (req.plan_out != nullptr) *req.plan_out = plan;
 
   if (plan.strategy == FilterStrategy::kBruteMatches) {
@@ -525,23 +466,9 @@ bool SealedSegment::HasIndex(FieldId field) const {
 }
 
 Status SealedSegment::BuildScalarIndexes() {
-  for (const auto& field : core_.schema().fields()) {
-    if (field.is_primary || field.IsVector()) continue;
-    const FieldColumn* col = core_.rows().ColumnByFieldId(field.id);
-    if (col == nullptr) continue;
-    if (field.type == DataType::kString) {
-      LabelIndex index;
-      MANU_RETURN_NOT_OK(index.Build(*col));
-      core_.label_indexes_[field.id] = std::move(index);
-    } else if (field.type == DataType::kInt64 ||
-               field.type == DataType::kFloat ||
-               field.type == DataType::kDouble) {
-      ScalarSortedIndex index;
-      MANU_RETURN_NOT_OK(index.Build(*col));
-      core_.scalar_indexes_[field.id] = std::move(index);
-    }
-  }
-  return Status::OK();
+  auto index = std::make_shared<FilterIndex>();
+  MANU_RETURN_NOT_OK(index->Build(core_.rows()));
+  return SetFilterIndex(std::move(index));
 }
 
 Status SealedSegment::SetFilterIndex(

@@ -16,7 +16,6 @@
 #include "core/filter_planner.h"
 #include "index/filter_index.h"
 #include "index/index_factory.h"
-#include "index/scalar_index.h"
 #include "index/vector_index.h"
 
 namespace manu {
@@ -31,9 +30,9 @@ struct SegmentSearchRequest {
   Timestamp read_ts = kMaxTimestamp;
   /// Optional attribute filter (pre-parsed); null = no filtering.
   const FilterExpr* filter = nullptr;
-  /// Cost-based planner knobs (default-disabled: the legacy strategy
-  /// heuristic runs). Filled by the query node from ManuConfig.
-  FilterPlannerParams filter_params;
+  /// Overrides the filter planner's cost-based choice (kNone = plan by
+  /// cost). Bench / equivalence-test hook; ignored without a filter.
+  FilterStrategy force_strategy = FilterStrategy::kNone;
   /// When non-null, receives the executed plan (strategy + selectivity) for
   /// span tagging and the filter.* metrics. Must point at storage owned by
   /// the caller of this one Search call.
@@ -132,11 +131,8 @@ class SegmentCore {
   std::unordered_map<int64_t, std::vector<int64_t>> pk_rows_;
   /// Parallel arrays of tombstones: (row, delete LSN).
   std::vector<std::pair<int64_t, Timestamp>> tombstones_;
-  /// Attribute indexes (built for sealed segments).
-  std::map<FieldId, ScalarSortedIndex> scalar_indexes_;
-  std::map<FieldId, LabelIndex> label_indexes_;
-  /// Persisted attribute-index artifact (loaded from object storage by the
-  /// query node); preferred over the locally-built maps above.
+  /// Attribute indexes of a sealed segment: the index node's persisted
+  /// artifact, or the same FilterIndex built locally.
   std::shared_ptr<const FilterIndex> filter_index_;
 };
 
@@ -199,12 +195,12 @@ class SealedSegment {
   Status SetIndex(FieldId field, std::unique_ptr<VectorIndex> index);
   bool HasIndex(FieldId field) const;
 
-  /// Builds attribute indexes over all scalar fields.
+  /// Builds the segment's FilterIndex locally (the same FilterIndex::Build
+  /// index nodes run) and installs it with SetFilterIndex.
   Status BuildScalarIndexes();
 
-  /// Installs a persisted attribute-index artifact (covers all rows); the
-  /// filter planner then estimates selectivity and evaluates predicates
-  /// against it instead of locally-built indexes.
+  /// Installs an attribute-index artifact (covers all rows); predicates
+  /// are then evaluated and selectivity estimated against it.
   Status SetFilterIndex(std::shared_ptr<const FilterIndex> index);
   bool HasFilterIndex() const;
 

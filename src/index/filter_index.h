@@ -55,9 +55,8 @@ class BitmapPostings {
   int64_t cardinality_ = 0;
 };
 
-/// String-label equality index backed by compressed bitmap postings — the
-/// sealed-segment counterpart of LabelIndex, with O(1) posting-length
-/// selectivity for the filter planner.
+/// String-label equality index backed by compressed bitmap postings, with
+/// O(1) posting-length selectivity for the filter planner.
 class LabelBitmapIndex {
  public:
   Status Build(const FieldColumn& column);

@@ -89,58 +89,4 @@ Result<ScalarSortedIndex> ScalarSortedIndex::Deserialize(BinaryReader* r) {
   return index;
 }
 
-Status LabelIndex::Build(const FieldColumn& column) {
-  if (column.type != DataType::kString) {
-    return Status::InvalidArgument("label index requires a string column");
-  }
-  num_rows_ = column.NumRows();
-  labels_ = column.str;
-  std::sort(labels_.begin(), labels_.end());
-  labels_.erase(std::unique(labels_.begin(), labels_.end()), labels_.end());
-  postings_.assign(labels_.size(), {});
-  for (int64_t row = 0; row < num_rows_; ++row) {
-    const auto it =
-        std::lower_bound(labels_.begin(), labels_.end(), column.str[row]);
-    postings_[it - labels_.begin()].push_back(row);
-  }
-  return Status::OK();
-}
-
-void LabelIndex::EqualsQuery(const std::string& label,
-                             ConcurrentBitset* out) const {
-  const auto it = std::lower_bound(labels_.begin(), labels_.end(), label);
-  if (it == labels_.end() || *it != label) return;
-  for (int64_t row : postings_[it - labels_.begin()]) {
-    out->Set(static_cast<size_t>(row));
-  }
-}
-
-int64_t LabelIndex::PostingSize(const std::string& label) const {
-  const auto it = std::lower_bound(labels_.begin(), labels_.end(), label);
-  if (it == labels_.end() || *it != label) return 0;
-  return static_cast<int64_t>(postings_[it - labels_.begin()].size());
-}
-
-void LabelIndex::Serialize(BinaryWriter* w) const {
-  w->PutI64(num_rows_);
-  w->PutU32(static_cast<uint32_t>(labels_.size()));
-  for (size_t i = 0; i < labels_.size(); ++i) {
-    w->PutString(labels_[i]);
-    w->PutVector(postings_[i]);
-  }
-}
-
-Result<LabelIndex> LabelIndex::Deserialize(BinaryReader* r) {
-  LabelIndex index;
-  MANU_ASSIGN_OR_RETURN(index.num_rows_, r->GetI64());
-  MANU_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
-  index.labels_.resize(n);
-  index.postings_.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MANU_ASSIGN_OR_RETURN(index.labels_[i], r->GetString());
-    MANU_ASSIGN_OR_RETURN(index.postings_[i], r->GetVector<int64_t>());
-  }
-  return index;
-}
-
 }  // namespace manu

@@ -1,7 +1,6 @@
 #ifndef MANU_INDEX_SCALAR_INDEX_H_
 #define MANU_INDEX_SCALAR_INDEX_H_
 
-#include <string>
 #include <vector>
 
 #include "common/bitset.h"
@@ -46,28 +45,6 @@ class ScalarSortedIndex {
   int64_t finite_ = 0;          ///< Non-NaN prefix length of values_.
   std::vector<double> values_;  ///< Sorted, NaNs last.
   std::vector<int64_t> rows_;   ///< rows_[i] holds values_[i].
-};
-
-/// String-label equality index (hash of sorted unique labels -> row lists).
-class LabelIndex {
- public:
-  Status Build(const FieldColumn& column);
-
-  int64_t NumRows() const { return num_rows_; }
-
-  /// Sets bits of rows whose label equals `label`.
-  void EqualsQuery(const std::string& label, ConcurrentBitset* out) const;
-  /// Posting length for `label` (0 when absent) — an O(log labels)
-  /// selectivity estimate for the filter planner.
-  int64_t PostingSize(const std::string& label) const;
-
-  void Serialize(BinaryWriter* w) const;
-  static Result<LabelIndex> Deserialize(BinaryReader* r);
-
- private:
-  int64_t num_rows_ = 0;
-  std::vector<std::string> labels_;            ///< Sorted unique labels.
-  std::vector<std::vector<int64_t>> postings_; ///< Rows per label.
 };
 
 }  // namespace manu

@@ -38,7 +38,6 @@ struct WalCounters {
 }  // namespace
 
 void MessageQueue::SetOptions(const WalOptions& options) {
-  group_commit_.store(options.group_commit, std::memory_order_relaxed);
   group_max_entries_.store(std::max<int64_t>(1, options.group_max_entries),
                            std::memory_order_relaxed);
   flush_linger_us_.store(options.flush_linger_us, std::memory_order_relaxed);
@@ -145,11 +144,10 @@ void MessageQueue::RunFlusher(ChannelState* state,
                               std::unique_lock<std::mutex>& lk) {
   const WalCounters& counters = WalCounters::Get();
   while (!state->pending.empty()) {
-    const bool grouped = group_commit_.load(std::memory_order_relaxed);
     const int64_t group_max =
-        grouped ? group_max_entries_.load(std::memory_order_relaxed) : 1;
+        group_max_entries_.load(std::memory_order_relaxed);
     const int64_t linger_us = flush_linger_us_.load(std::memory_order_relaxed);
-    if (grouped && linger_us > 0 &&
+    if (linger_us > 0 &&
         static_cast<int64_t>(state->pending.size()) < group_max &&
         !IsShutdown()) {
       state->ack_cv.wait_for(
@@ -229,7 +227,7 @@ void MessageQueue::RunFlusher(ChannelState* state,
       }
       auto chunk = std::make_shared<Chunk>();
       // Consolidate small tails copy-on-write so the chunk list stays
-      // ~entries/kMinChunkEntries long even with group commit off. The
+      // ~entries/kMinChunkEntries long even with groups of one. The
       // previous tail chunk is never mutated — old snapshots keep it.
       if (!next->chunks.empty() &&
           static_cast<int64_t>(next->chunks.back()->entries.size()) <

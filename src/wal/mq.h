@@ -19,16 +19,12 @@ namespace manu {
 /// Where a new subscription starts reading.
 enum class SubscribePosition { kEarliest, kLatest };
 
-/// Tuning for the broker's group-commit publish path (BtrLog recipe,
-/// ROADMAP item 1). All defaults preserve the pre-group-commit behavior:
-/// every publish flushes its own group of one, synchronously.
+/// Tuning for the broker's group-commit publish path (BtrLog recipe): the
+/// flush leader batches every staged publish (up to group_max_entries) into
+/// one flush, acking the whole group at once.
 struct WalOptions {
-  /// Master switch. Off = each publish is its own commit group (identical
-  /// latency profile and semantics to the ungrouped broker); on = the
-  /// flush leader batches every staged publish (up to group_max_entries)
-  /// into one flush, acking the whole group at once.
-  bool group_commit = false;
-  /// Max entries batch-serialized and installed per commit group.
+  /// Max entries batch-serialized and installed per commit group. 1 = each
+  /// publish is its own commit group.
   int64_t group_max_entries = 256;
   /// How long the flush leader lingers (us) waiting for the group to fill
   /// before flushing whatever is staged. 0 = never wait.
@@ -156,7 +152,7 @@ class MessageQueue {
   static constexpr int64_t kTicketPending = -2;
   /// Small committed groups are consolidated into the previous tail chunk
   /// (copy-on-write) so chunk count stays ~entries/kMinChunkEntries even
-  /// with group commit off (groups of one).
+  /// with groups of one (group_max_entries = 1).
   static constexpr int64_t kMinChunkEntries = 64;
 
   /// One immutable run of committed entries (one commit group, possibly
@@ -281,7 +277,6 @@ class MessageQueue {
 
   // Publish-path knobs (see WalOptions); atomics so SetOptions is safe
   // against in-flight traffic.
-  std::atomic<bool> group_commit_{false};
   std::atomic<int64_t> group_max_entries_{256};
   std::atomic<int64_t> flush_linger_us_{0};
   std::atomic<int64_t> sim_flush_latency_us_{0};

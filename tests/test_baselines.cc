@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "baselines/engine.h"
-#include "baselines/milvus_like.h"
-#include "common/metrics.h"
 #include "common/synthetic.h"
 
 namespace manu {
@@ -76,65 +74,6 @@ TEST_F(EngineTest, VearchAggregationPreservesResults) {
       EXPECT_EQ(a.value()[i].id, b.value()[i].id) << "query " << q;
     }
   }
-}
-
-TEST(MilvusLikeTest, IngestsAndSearches) {
-  IndexParams params;
-  params.type = IndexType::kIvfFlat;
-  params.dim = 16;
-  params.nlist = 16;
-  MilvusLike db(params, /*seal_rows=*/500);
-
-  SyntheticOptions opts;
-  opts.num_rows = 1200;
-  opts.dim = 16;
-  VectorDataset data = MakeClusteredDataset(opts);
-  for (int64_t begin = 0; begin < 1200; begin += 100) {
-    std::vector<int64_t> pks;
-    for (int64_t i = begin; i < begin + 100; ++i) pks.push_back(i);
-    db.Insert(std::move(pks),
-              std::vector<float>(data.Row(begin), data.Row(begin) + 100 * 16));
-  }
-  // Wait until the writer drains.
-  const int64_t deadline = NowMs() + 10000;
-  while ((db.QueuedRows() > 0 || db.VisibleRows() < 1200) &&
-         NowMs() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(db.VisibleRows(), 1200);
-
-  auto hits = db.Search(data.Row(55), 5, 16);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_FALSE(hits.value().empty());
-  EXPECT_EQ(hits.value()[0].id, 55);
-  db.Stop();
-}
-
-TEST(MilvusLikeTest, SingleWriterCreatesIndexBacklog) {
-  // The architectural flaw Figure 6 measures: while the one write thread
-  // builds an index, sealed-but-unindexed rows pile up. Use a deliberately
-  // expensive index configuration and a fast insert burst.
-  IndexParams params;
-  params.type = IndexType::kHnsw;
-  params.dim = 32;
-  params.hnsw_m = 16;
-  params.hnsw_ef_construction = 200;  // Slow on purpose.
-  MilvusLike db(params, /*seal_rows=*/1000);
-
-  SyntheticOptions opts;
-  opts.num_rows = 4000;
-  opts.dim = 32;
-  VectorDataset data = MakeClusteredDataset(opts);
-  for (int64_t begin = 0; begin < 4000; begin += 200) {
-    std::vector<int64_t> pks;
-    for (int64_t i = begin; i < begin + 200; ++i) pks.push_back(i);
-    db.Insert(std::move(pks),
-              std::vector<float>(data.Row(begin), data.Row(begin) + 200 * 32));
-  }
-  // Mid-burst, backlog must be visible (queued rows or unindexed rows).
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_GT(db.UnindexedRows() + db.QueuedRows(), 0);
-  db.Stop();
 }
 
 }  // namespace

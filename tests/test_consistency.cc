@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <thread>
 
+#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/synthetic.h"
 #include "core/manu.h"
@@ -284,6 +288,73 @@ TEST(Replicas, HotReplicasServeThroughCrashWithoutReload) {
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res.value().ids[0], 42);
   EXPECT_EQ(res.value().ids.size(), 10u);
+}
+
+TEST(Handoff, SearchPlannedBeforeHandoffKeepsTheSegment) {
+  // The proxy takes its routing plan before the node reads its segment
+  // set. A growing->sealed handoff that lands in between leaves the
+  // segment in no route's sealed filter (placement did not list it at plan
+  // time) while the node has already replaced its growing twin with the
+  // sealed copy. The node must still scan that copy, or the segment's rows
+  // vanish from a search that reports coverage 1.
+  ManuConfig config;
+  config.num_shards = 1;
+  config.num_query_nodes = 1;
+  config.segment_seal_rows = 100000;
+  config.segment_idle_seal_ms = 600000;
+  config.time_tick_interval_ms = 10;
+  ManuInstance db(config);
+  auto meta = db.CreateCollection(VecSchema("handoff", 8));
+  ASSERT_TRUE(meta.ok());
+  SyntheticOptions opts;
+  opts.num_rows = 200;
+  opts.dim = 8;
+  VectorDataset data = MakeClusteredDataset(opts);
+  // The first segment is sealed, so the plan's sealed filter is non-empty;
+  // the second is still growing when the plan is taken.
+  ASSERT_TRUE(
+      db.Insert("handoff", VecBatch(meta.value(), data, 0, 100)).ok());
+  ASSERT_TRUE(db.FlushAndWait("handoff").ok());
+  ASSERT_TRUE(
+      db.Insert("handoff", VecBatch(meta.value(), data, 100, 200)).ok());
+
+  // Hold the node between plan and scan until the handoff is done.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool released = false;
+  ScopedFailPoint hold("query_node.search_segment",
+                       FailPointPolicy::Panic([&] {
+                         std::unique_lock lk(mu);
+                         held = true;
+                         cv.notify_all();
+                         cv.wait(lk, [&] { return released; });
+                         return Status::OK();
+                       }));
+  SearchRequest req;
+  req.collection = "handoff";
+  req.query.assign(data.Row(0), data.Row(0) + 8);
+  req.k = 200;
+  req.consistency = ConsistencyLevel::kStrong;
+  auto search = std::async(std::launch::async, [&] { return db.Search(req); });
+  bool was_held = false;
+  {
+    std::unique_lock lk(mu);
+    was_held = cv.wait_for(lk, std::chrono::seconds(10), [&] { return held; });
+  }
+  const Status flushed = was_held ? db.FlushAndWait("handoff") : Status::OK();
+  {
+    std::lock_guard lk(mu);
+    released = true;
+  }
+  cv.notify_all();
+  auto res = search.get();
+
+  ASSERT_TRUE(was_held) << "search never reached the node";
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res.value().coverage, 1.0);
+  EXPECT_EQ(res.value().ids.size(), 200u);
 }
 
 TEST(BatchSearchTest, MatchesIndividualSearches) {

@@ -141,13 +141,13 @@ TEST_F(ExprTest, SelectivityEstimates) {
 TEST_F(ExprTest, EvaluateUsesIndexesWhenAvailable) {
   ScalarSortedIndex price_index;
   ASSERT_TRUE(price_index.Build(price_col_).ok());
-  LabelIndex label_index;
-  ASSERT_TRUE(label_index.Build(label_col_).ok());
+  LabelBitmapIndex label_bitmap;
+  ASSERT_TRUE(label_bitmap.Build(label_col_).ok());
   ctx_.scalar_index = [&](FieldId id) -> const ScalarSortedIndex* {
     return id == price_col_.field_id ? &price_index : nullptr;
   };
-  ctx_.label_index = [&](FieldId id) -> const LabelIndex* {
-    return id == label_col_.field_id ? &label_index : nullptr;
+  ctx_.label_bitmap = [&](FieldId id) -> const LabelBitmapIndex* {
+    return id == label_col_.field_id ? &label_bitmap : nullptr;
   };
   EXPECT_EQ(Eval("price < 30 && label == 'a'"), "10000");
   EXPECT_EQ(Eval("price != 20"), "10111");

@@ -117,6 +117,9 @@ TEST(LabelBitmapIndex, QueryPostingSizeSerde) {
   EXPECT_FALSE(bits.Test(1));
   EXPECT_TRUE(bits.Test(2));
   EXPECT_TRUE(bits.Test(5));
+  bits.Reset();
+  index.EqualsQuery("zzz", &bits);  // Absent label: no rows.
+  EXPECT_FALSE(bits.Any());
 
   BinaryWriter w;
   index.Serialize(&w);
@@ -179,29 +182,42 @@ TEST(FilterIndex, BuildAccessorsSerde) {
 // ---------------------------------------------------------------------------
 
 TEST(FilterPlanner, StrategySelection) {
-  FilterPlannerParams params;
-  params.enable = true;
+  constexpr FilterStrategy kAuto = FilterStrategy::kNone;
+  // Sealed segment: a full index, traversal support by engine type.
+  const auto sealed = [](double sel, IndexType type) {
+    return PlanFilter(kAuto, true, sel, true, SupportsFilteredTraversal(type))
+        .strategy;
+  };
+  // Growing segment: slice indexes without traversal.
+  const auto growing = [](FilterStrategy force, double sel) {
+    return PlanFilter(force, true, sel, true, false).strategy;
+  };
   // Very selective -> brute force over the matches, index or not.
-  EXPECT_EQ(PlanFilter(params, 0.01, true, IndexType::kHnsw).strategy,
-            FilterStrategy::kBruteMatches);
+  EXPECT_EQ(sealed(0.01, IndexType::kHnsw), FilterStrategy::kBruteMatches);
   // No usable index -> brute matches regardless of selectivity.
-  EXPECT_EQ(PlanFilter(params, 0.7, false, IndexType::kHnsw).strategy,
+  EXPECT_EQ(PlanFilter(kAuto, true, 0.7, false, false).strategy,
             FilterStrategy::kBruteMatches);
   // Mid selectivity + traversal-capable engine -> filtered traversal.
-  EXPECT_EQ(PlanFilter(params, 0.2, true, IndexType::kHnsw).strategy,
-            FilterStrategy::kTraversal);
-  EXPECT_EQ(PlanFilter(params, 0.2, true, IndexType::kIvfFlat).strategy,
-            FilterStrategy::kTraversal);
+  EXPECT_EQ(sealed(0.2, IndexType::kHnsw), FilterStrategy::kTraversal);
+  EXPECT_EQ(sealed(0.2, IndexType::kIvfFlat), FilterStrategy::kTraversal);
   // Mid selectivity + engine without traversal support -> pre-filter mask.
-  EXPECT_EQ(PlanFilter(params, 0.2, true, IndexType::kFlat).strategy,
-            FilterStrategy::kPreFilter);
+  EXPECT_EQ(sealed(0.2, IndexType::kFlat), FilterStrategy::kPreFilter);
   // Broad filter -> pre-filter mask.
-  EXPECT_EQ(PlanFilter(params, 0.9, true, IndexType::kHnsw).strategy,
-            FilterStrategy::kPreFilter);
-  // Force overrides everything.
-  params.force = FilterStrategy::kPostScan;
-  EXPECT_EQ(PlanFilter(params, 0.01, true, IndexType::kHnsw).strategy,
+  EXPECT_EQ(sealed(0.9, IndexType::kHnsw), FilterStrategy::kPreFilter);
+  // Growing: 1% scans the matches, 20% and 60% take the slice path.
+  EXPECT_EQ(growing(kAuto, 0.01), FilterStrategy::kBruteMatches);
+  EXPECT_EQ(growing(kAuto, 0.2), FilterStrategy::kPreFilter);
+  EXPECT_EQ(growing(kAuto, 0.6), FilterStrategy::kPreFilter);
+  // Force overrides everything, on both segment kinds.
+  EXPECT_EQ(PlanFilter(FilterStrategy::kPostScan, true, 0.01, true, true)
+                .strategy,
             FilterStrategy::kPostScan);
+  EXPECT_EQ(growing(FilterStrategy::kBruteMatches, 0.6),
+            FilterStrategy::kBruteMatches);
+  // No filter -> kNone, even when a strategy is forced.
+  EXPECT_EQ(PlanFilter(FilterStrategy::kPostScan, false, 1.0, true, true)
+                .strategy,
+            FilterStrategy::kNone);
 }
 
 // ---------------------------------------------------------------------------
@@ -343,9 +359,18 @@ TEST_F(FilterSearchTest, StrategiesAgreeOnExactEngines) {
                                           IndexType::kImi /* = no index */};
   const std::vector<int64_t> prices = {1, 5, 25, 60, 90};  // Selectivity %.
   const std::vector<FilterStrategy> forced = {
-      FilterStrategy::kNone,  // Planner's own choice.
       FilterStrategy::kPreFilter, FilterStrategy::kBruteMatches,
       FilterStrategy::kTraversal};
+  // The planner's own choice for each engine at `price`% selectivity.
+  const auto planned = [](IndexType engine, int64_t price) {
+    if (engine == IndexType::kImi || price < 15) {
+      return FilterStrategy::kBruteMatches;
+    }
+    if (engine == IndexType::kIvfFlat && price < 50) {
+      return FilterStrategy::kTraversal;
+    }
+    return FilterStrategy::kPreFilter;
+  };
   std::mt19937 rng(7);
   std::uniform_int_distribution<int64_t> pick_row(0, kRows - 1);
 
@@ -366,8 +391,7 @@ TEST_F(FilterSearchTest, StrategiesAgreeOnExactEngines) {
             Reference(data_.Row(qrow), 10, kMaxTimestamp, {}, 0, price);
         for (FilterStrategy force : forced) {
           SegmentSearchRequest req = Req(qrow, 10, expr.value().get());
-          req.filter_params.enable = true;
-          req.filter_params.force = force;
+          req.force_strategy = force;
           FilterPlan plan;
           req.plan_out = &plan;
           auto hits = seg->Search(req);
@@ -377,14 +401,15 @@ TEST_F(FilterSearchTest, StrategiesAgreeOnExactEngines) {
               << " force=" << FilterStrategyName(force) << " q=" << qrow;
           EXPECT_NEAR(plan.selectivity, price / 100.0, 0.01);
         }
-        // Legacy heuristic (planner off) agrees too.
+        // The unforced default plan agrees too.
         SegmentSearchRequest req = Req(qrow, 10, expr.value().get());
         FilterPlan plan;
         req.plan_out = &plan;
         auto hits = seg->Search(req);
         ASSERT_TRUE(hits.ok());
         EXPECT_EQ(SortedPks(hits.value()), want);
-        EXPECT_EQ(plan.strategy, FilterStrategy::kLegacy);
+        EXPECT_EQ(plan.strategy, planned(engine, price))
+            << "engine=" << static_cast<int>(engine) << " price=" << price;
       }
     }
   }
@@ -401,8 +426,7 @@ TEST_F(FilterSearchTest, PostScanBaselineExactWhenOverfetchCoversSegment) {
   const std::vector<int64_t> want =
       Reference(data_.Row(3), 25, kMaxTimestamp, {}, 0, 1);
   SegmentSearchRequest req = Req(3, 25, expr.value().get());
-  req.filter_params.enable = true;
-  req.filter_params.force = FilterStrategy::kPostScan;
+  req.force_strategy = FilterStrategy::kPostScan;
   FilterPlan plan;
   req.plan_out = &plan;
   auto hits = seg->Search(req);
@@ -426,8 +450,7 @@ TEST_F(FilterSearchTest, HnswFilteredTraversalSatisfiesFilterWithRecall) {
       const std::vector<int64_t> want =
           Reference(data_.Row(qrow), 10, kMaxTimestamp, {}, 0, price);
       SegmentSearchRequest req = Req(qrow, 10, expr.value().get());
-      req.filter_params.enable = true;
-      req.filter_params.force = FilterStrategy::kTraversal;
+      req.force_strategy = FilterStrategy::kTraversal;
       auto hits = seg->Search(req);
       ASSERT_TRUE(hits.ok());
       ASSERT_FALSE(hits.value().empty());
@@ -464,8 +487,7 @@ TEST_F(FilterSearchTest, TombstoneAndFilterComposeOnSealed) {
     // Read before the delete LSN: tombstones invisible, filter applies.
     SegmentSearchRequest req = Req(42, 10, expr.value().get());
     req.read_ts = 4000;
-    req.filter_params.enable = true;
-    req.filter_params.force = force;
+    req.force_strategy = force;
     auto hits = seg->Search(req);
     ASSERT_TRUE(hits.ok());
     EXPECT_EQ(SortedPks(hits.value()),
@@ -513,7 +535,6 @@ TEST_F(FilterSearchTest, TombstoneAndFilterComposeOnGrowing) {
   // exact, so membership equals the reference with both masks applied.
   SegmentSearchRequest req = Req(42, 10, expr.value().get());
   req.read_ts = 6000;
-  req.filter_params.enable = true;
   FilterPlan plan;
   req.plan_out = &plan;
   auto hits = seg.Search(req);
@@ -528,7 +549,6 @@ TEST_F(FilterSearchTest, TombstoneAndFilterComposeOnGrowing) {
   ASSERT_TRUE(broad.ok());
   SegmentSearchRequest req2 = Req(42, 10, broad.value().get());
   req2.read_ts = 6000;
-  req2.filter_params.enable = true;
   FilterPlan plan2;
   req2.plan_out = &plan2;
   hits = seg.Search(req2);
@@ -538,6 +558,15 @@ TEST_F(FilterSearchTest, TombstoneAndFilterComposeOnGrowing) {
     EXPECT_EQ(deleted.count(h.pk), 0u);
     EXPECT_LT(h.pk % 100, 60);
   }
+
+  // A forced strategy wins over the growing plan: brute-forcing the
+  // matches of the broad filter is exact.
+  req2.force_strategy = FilterStrategy::kBruteMatches;
+  hits = seg.Search(req2);
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(plan2.strategy, FilterStrategy::kBruteMatches);
+  EXPECT_EQ(SortedPks(hits.value()),
+            Reference(data_.Row(42), 10, 6000, deleted, delete_ts, 60));
 
   // Before the delete LSN the tombstones are invisible.
   req.read_ts = 4000;
@@ -583,8 +612,7 @@ TEST_F(FilterSearchTest, PersistedArtifactMatchesLocalIndexes) {
        {FilterStrategy::kNone, FilterStrategy::kPreFilter,
         FilterStrategy::kBruteMatches}) {
     SegmentSearchRequest req = Req(7, 10, expr.value().get());
-    req.filter_params.enable = true;
-    req.filter_params.force = force;
+    req.force_strategy = force;
     FilterPlan pa, pb;
     req.plan_out = &pa;
     auto via_local = local->Search(req);
@@ -711,7 +739,6 @@ TEST(FilterE2E, ArtifactBuiltRegisteredAndServed) {
   config.slice_rows = 512;
   config.time_tick_interval_ms = 10;
   config.filter_index_enable = true;
-  config.filter_planner_enable = true;
   ManuInstance db(config);
 
   CollectionSchema schema("products");

@@ -268,7 +268,6 @@ TEST(Recovery, GroupCommitFencedNeverAckedAckedSurviveRecover) {
   // before the epoch bump but flushed after it.
   ManuConfig config = SmallConfig();
   config.num_shards = 1;  // One channel: zombie and successor share groups.
-  config.wal_group_commit = true;
   config.wal_group_max_entries = 64;
   config.wal_flush_linger_us = 200;  // Encourage mixed groups.
   config.wal_sim_flush_latency_us = 100;

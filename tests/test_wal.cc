@@ -245,7 +245,6 @@ TEST(MessageQueue, ManyProducersOneConsumer) {
 
 WalOptions GroupedOptions(int64_t linger_us = 0, int64_t sim_us = 0) {
   WalOptions opt;
-  opt.group_commit = true;
   opt.group_max_entries = 256;
   opt.flush_linger_us = linger_us;
   opt.sim_flush_latency_us = sim_us;
