@@ -45,10 +45,6 @@ struct ManuConfig {
   /// top-k computations across the node's query_threads pool and reduces
   /// node-locally. Off = the pre-fan-out serial scan (debug / A-B knob).
   bool parallel_search = true;
-  /// Segments per parallel task in the intra-query fan-out. 1 (default)
-  /// dispatches each segment separately (best balance under stragglers);
-  /// larger grains amortize dispatch when segments are tiny.
-  int64_t search_parallel_grain = 1;
 
   // --- WAL group commit (BtrLog recipe) ---
   // Every publish goes through group commit: concurrently staged publishes
@@ -98,10 +94,6 @@ struct ManuConfig {
   int64_t heartbeat_interval_ms = 250;
   /// How often the ManuInstance background loop scans for expired leases.
   int64_t watchdog_interval_ms = 250;
-  /// Master switch: off disables lease registration, heartbeats, the
-  /// watchdog and epoch fencing (single-process unit tests that construct
-  /// bare nodes without a LeaseManager are equivalent to this).
-  bool enable_liveness = true;
 
   // --- Robustness (common/retry.h, common/failpoint.h) ---
   /// Retry budget for object-store / meta / binlog I/O on worker nodes.
@@ -154,9 +146,6 @@ struct ManuConfig {
   double shed_reject_pressure = 0.95;
   /// Default backoff guidance attached to shed/reject responses, in ms.
   int64_t shed_retry_after_ms = 50;
-  /// Stage >= 1 multiplies node_search_deadline_ms by this factor
-  /// (degraded requests get tighter per-node deadlines).
-  double shed_deadline_factor = 0.5;
   /// Degraded per-node deadline when node_search_deadline_ms <= 0
   /// (unbounded): brownout must still bound per-node wait, in ms.
   int64_t shed_degraded_deadline_ms = 250;

@@ -68,8 +68,8 @@ class DataNode {
   NodeId id_;
   CoreContext ctx_;
   DataCoordinator* data_coord_;
-  /// Lease fencing epoch (0 when liveness is off); granted in Start(),
-  /// checked before every binlog archive.
+  /// Lease fencing epoch (0 for a bare node without a LeaseManager);
+  /// granted in Start(), checked before every binlog archive.
   int64_t lease_epoch_ = 0;
 
   std::mutex mu_;

@@ -52,8 +52,8 @@ class IndexNode {
   NodeId id_;
   CoreContext ctx_;
   DataCoordinator* data_coord_;
-  /// Lease fencing epoch (0 when liveness is off); checked before every
-  /// index registration.
+  /// Lease fencing epoch (0 for a bare node without a LeaseManager);
+  /// checked before every index registration.
   int64_t lease_epoch_ = 0;
   std::atomic<int64_t> pending_{0};
   std::atomic<bool> stop_heartbeat_{false};

@@ -102,13 +102,11 @@ ManuInstance::ManuInstance(ManuConfig config,
   ticker_ = std::make_unique<TimeTickEmitter>(
       &durable_->mq, &durable_->tso, config_.time_tick_interval_ms);
 
-  if (config_.enable_liveness) {
-    leases_ = std::make_unique<LeaseManager>(&durable_->meta,
-                                             config_.lease_ttl_ms);
-    // Fences the previous incarnation (its loggers / data coordinator see
-    // epoch mismatches at their commit points from here on).
-    instance_epoch_ = leases_->AcquireInstanceEpoch();
-  }
+  leases_ = std::make_unique<LeaseManager>(&durable_->meta,
+                                           config_.lease_ttl_ms);
+  // Fences the previous incarnation (its loggers / data coordinator see
+  // epoch mismatches at their commit points from here on).
+  instance_epoch_ = leases_->AcquireInstanceEpoch();
 
   const CoreContext ctx = MakeContext();
 
@@ -204,7 +202,7 @@ void ManuInstance::BackgroundLoop() {
       next_seal = NowMs() + seal_interval;
       data_coord_->CheckIdleSegments();
     }
-    if (leases_ != nullptr && NowMs() >= next_watchdog) {
+    if (NowMs() >= next_watchdog) {
       next_watchdog = NowMs() + watchdog_interval;
       RunWatchdog();
     }
@@ -542,16 +540,14 @@ std::string ManuInstance::DescribeCluster() {
       << " reconcile_interval_ms="
       << config_.placement_reconcile_interval_ms << "\n";
 
-  if (leases_ != nullptr) {
-    out << "liveness (instance epoch " << instance_epoch_ << ", lease ttl "
-        << leases_->ttl_ms() << "ms):\n";
-    const int64_t now = NowMs();
-    for (const LeaseInfo& lease : leases_->Snapshot()) {
-      out << "  node " << lease.node << ": role=" << lease.role
-          << " epoch=" << lease.epoch << " heartbeat_age_ms="
-          << std::max<int64_t>(0, now - lease.last_renew_ms)
-          << (lease.dead ? " DEAD" : " alive") << "\n";
-    }
+  out << "liveness (instance epoch " << instance_epoch_ << ", lease ttl "
+      << leases_->ttl_ms() << "ms):\n";
+  const int64_t now = NowMs();
+  for (const LeaseInfo& lease : leases_->Snapshot()) {
+    out << "  node " << lease.node << ": role=" << lease.role
+        << " epoch=" << lease.epoch << " heartbeat_age_ms="
+        << std::max<int64_t>(0, now - lease.last_renew_ms)
+        << (lease.dead ? " DEAD" : " alive") << "\n";
   }
 
   out << "--- metrics ---\n" << MetricsRegistry::Global().Dump();

@@ -52,8 +52,7 @@ struct DurableState {
 /// Insert, Delete, CreateIndex, Search (with filters, multi-vector search,
 /// consistency levels and time travel).
 ///
-/// Liveness (Section 3.6): unless config.enable_liveness is off, every
-/// worker holds a heartbeat lease and the background watchdog fails over
+/// Liveness (Section 3.6): every worker holds a heartbeat lease and the background watchdog fails over
 /// workers whose lease expires — query nodes hand their channels/segments
 /// to survivors, data nodes hand their shard channels to a survivor that
 /// replays the WAL from the archived floor. Fencing epochs (persisted in

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <future>
 #include <map>
-#include <optional>
 #include <thread>
 
 #include "common/metrics.h"
@@ -17,10 +16,7 @@ Proxy::Proxy(const CoreContext& ctx, RootCoordinator* root_coord,
       root_coord_(root_coord),
       query_coord_(query_coord),
       loggers_(loggers),
-      admission_(ctx.config),
-      // Fan-out workers mostly wait on node executors; size generously so
-      // the proxy never serializes multi-node dispatch.
-      pool_(64) {
+      admission_(ctx.config) {
   // Brownout pressure = the worst query-node inflight ratio: the fleet's
   // queues are the paper's "degrade before you fall over" signal. Zero
   // when node caps are off (the inflight-ratio term in the controller
@@ -70,7 +66,7 @@ int64_t Proxy::DegradedDeadlineMs(int64_t request_deadline_ms) const {
   }
   return std::max<int64_t>(
       1, static_cast<int64_t>(static_cast<double>(base) *
-                              ctx_.config.shed_deadline_factor));
+                              kDegradedDeadlineFactor));
 }
 
 Result<Proxy::Prepared> Proxy::Prepare(const SearchRequest& req) {
@@ -156,184 +152,16 @@ SearchResult Proxy::ToResult(std::vector<Neighbor> merged) {
   return out;
 }
 
-Result<SearchResult> Proxy::SearchOnce(const SearchRequest& req,
-                                       const std::shared_ptr<Prepared>& prep,
-                                       Span* parent) {
-  // --- Fan out per the coordinator's load-aware plan: every channel owner
-  // (growing data), each sealed segment on exactly one p2c-chosen owner. ---
-  Span route(parent->context(), "query_coord.route");
-  auto plan = query_coord_->PlanFor(prep->meta.id);
-  route.Tag("nodes", static_cast<int64_t>(plan.routes.size()));
-  if (plan.unroutable > 0) {
-    route.Tag("unroutable", plan.unroutable);
-  }
-  route.End();
-  if (plan.routes.empty()) {
-    return Status::Unavailable("collection is not loaded on any query node");
-  }
-  // Segments with no live replica (mid-repair): a strict search must not
-  // silently return a subset, so it fails retryably — with
-  // search_retry_attempts the re-plan lands after the reconciler repairs.
-  // Partial searches proceed with the loss counted against coverage below.
-  if (plan.unroutable > 0 && !req.allow_partial) {
-    return Status::Unavailable("sealed segments awaiting replica repair");
-  }
-  // Coverage weights: how much of the collection each route answers for —
-  // its assigned sealed segments plus its growing-only ones. A node in the
-  // plan only for its shard channel (no data yet) still weighs 1.
-  // Unroutable segments weigh in the total but can never be covered.
-  std::vector<int64_t> weights;
-  weights.reserve(plan.routes.size());
-  int64_t total_weight = plan.unroutable;
-  for (const auto& r : plan.routes) {
-    const int64_t w = std::max<int64_t>(1, r.weight);
-    weights.push_back(w);
-    total_weight += w;
-  }
-
-  const int64_t deadline_ms = req.node_deadline_ms > 0
-                                  ? req.node_deadline_ms
-                                  : ctx_.config.node_search_deadline_ms;
-  // Each attempt dispatches its own copy of the node request (cheap: the
-  // targets point into prep-owned storage, which the captured shared_ptr
-  // keeps alive). Mutating prep->nreq instead would race an abandoned
-  // straggler from a previous attempt that is still reading it.
-  NodeSearchRequest base = prep->nreq;
-  base.trace = parent->context();
-  // Stamp the absolute deadline into the node request: a straggler the
-  // proxy abandons below keeps running on its executor, but its parallel
-  // segment fan-out checks this and stops claiming new segment work
-  // instead of finishing a result nobody will read.
-  if (deadline_ms > 0) {
-    base.deadline_us = NowMicros() + deadline_ms * 1000;
-  }
-
-  std::vector<std::future<Result<std::vector<SegmentHit>>>> futures;
-  futures.reserve(plan.routes.size());
-  for (auto& r : plan.routes) {
-    NodeSearchRequest nreq = base;
-    nreq.sealed_filter = r.sealed_filter;
-    nreq.plan_handoff_seq = plan.handoff_seq;
-    auto node = r.node;
-    futures.push_back(pool_.Submit(
-        [node, prep, nreq = std::move(nreq)]() { return node->Search(nreq); }));
-  }
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(std::max<int64_t>(
-                            0, deadline_ms));
-  std::vector<std::vector<Neighbor>> lists;
-  lists.reserve(plan.routes.size());
-  int64_t covered_weight = 0;
-  int64_t degraded_nodes = 0;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    auto& fut = futures[i];
-    if (deadline_ms > 0 &&
-        fut.wait_until(deadline) == std::future_status::timeout) {
-      // The straggler keeps running against its own copy of the request
-      // (shared_ptr above); the proxy just stops waiting for it.
-      if (!req.allow_partial) {
-        return Status::Timeout("query node missed the search deadline");
-      }
-      parent->Event("node abandoned (deadline)");
-      ++degraded_nodes;
-      continue;
-    }
-    Result<std::vector<SegmentHit>> hits = fut.get();
-    if (!hits.ok()) {
-      if (!req.allow_partial) return hits.status();
-      parent->Event("node dropped: " + hits.status().ToString());
-      ++degraded_nodes;
-      continue;
-    }
-    covered_weight += weights[i];
-    std::vector<Neighbor> list;
-    list.reserve(hits.value().size());
-    for (const auto& h : hits.value()) list.push_back({h.pk, h.score});
-    lists.push_back(std::move(list));
-  }
-  if (lists.empty()) {
-    return Status::Unavailable("every query node failed or timed out");
-  }
-
-  // --- Global reduce with pk dedup. ---
-  Span merge(parent->context(), "proxy.merge");
-  merge.Tag("lists", static_cast<int64_t>(lists.size()));
-  SearchResult out = ToResult(MergeTopK(lists, req.k, /*dedup_ids=*/true));
-  merge.End();
-  out.coverage = total_weight > 0
-                     ? static_cast<double>(covered_weight) / total_weight
-                     : 1.0;
-  if (degraded_nodes > 0) {
-    MetricsRegistry::Global()
-        .GetCounter("proxy.degraded_nodes")
-        ->Add(degraded_nodes);
-  }
-  if (out.coverage < 1.0) {
-    MetricsRegistry::Global().GetCounter("proxy.partial_results")->Add(1);
-  }
-  return out;
-}
-
 Result<SearchResult> Proxy::Search(const SearchRequest& req) {
   const int64_t t0 = NowMicros();
   Span root = Tracer::Global().StartTrace("proxy.search");
   root.Tag("collection", req.collection);
   root.Tag("k", static_cast<int64_t>(req.k));
 
-  // --- Overload front door (core/admission.h). ---
-  const AdmitDecision decision = admission_.Admit(req.tenant, req.priority);
-  AdmissionGuard guard(&admission_, decision.admitted());
-  RecordAdmission(&root, decision);
-  if (!decision.admitted()) {
-    Status st = AdmissionController::ShedStatus(
-        "proxy (" + std::string(decision.reason) + ")", decision.stage,
-        decision.retry_after_ms);
-    root.Tag("error", st.ToString());
-    return st;
-  }
-  // Brownout stage 1+: serve, but degraded — partial results allowed and
-  // tighter per-node deadlines, trading completeness for bounded latency.
-  SearchRequest degraded_req;
-  const SearchRequest* effective = &req;
-  if (decision.action == AdmitAction::kDegrade) {
-    degraded_req = req;
-    degraded_req.allow_partial = true;
-    degraded_req.node_deadline_ms = DegradedDeadlineMs(req.node_deadline_ms);
-    effective = &degraded_req;
-  }
-  const SearchRequest& ereq = *effective;
-
-  auto prep_res = Prepare(ereq);
-  if (!prep_res.ok()) {
-    root.Tag("error", prep_res.status().ToString());
-    return prep_res.status();
-  }
-  // shared_ptr: with allow_partial the proxy may return while an abandoned
-  // node task is still running; the task keeps the request state alive.
-  auto prep = std::make_shared<Prepared>(std::move(prep_res).value());
-  if (ereq.travel_ts == 0) prep->nreq.read_ts = ctx_.tso->Allocate();
-
-  Result<SearchResult> out = SearchOnce(ereq, prep, &root);
-  const int32_t retries = std::max(0, ctx_.config.search_retry_attempts);
-  for (int32_t attempt = 1; attempt <= retries && !out.ok(); ++attempt) {
-    const StatusCode code = out.status().code();
-    // Only transient fan-out failures are worth re-dispatching; each retry
-    // re-fetches the routing snapshot, so a search that raced a node crash
-    // lands on the failover survivor. kResourceExhausted is deliberately
-    // NOT here: a shed/backpressured fan-out must surface, not add load.
-    if (code != StatusCode::kUnavailable && code != StatusCode::kTimeout) {
-      break;
-    }
-    MetricsRegistry::Global().GetCounter("proxy.search_retries")->Add(1);
-    Span retry(root.context(), "proxy.retry");
-    retry.Tag("attempt", static_cast<int64_t>(attempt));
-    retry.Tag("cause", out.status().ToString());
-    out = SearchOnce(ereq, prep, &retry);
-  }
+  Result<SearchResult> out = std::move(Serve({&req, 1}, &root).front());
   if (!out.ok()) {
     root.Tag("error", out.status().ToString());
-    return out.status();
+    return out;
   }
 
   root.Tag("coverage", out.value().coverage);
@@ -355,206 +183,240 @@ std::vector<Result<SearchResult>> Proxy::BatchSearch(
   // dispatch amortizes across requests.
   Span root = Tracer::Global().StartTrace("proxy.batch_search");
   root.Tag("requests", static_cast<int64_t>(reqs.size()));
-  std::vector<Result<SearchResult>> results(reqs.size());
-  // shared_ptr: the NodeSearchRequests handed to node tasks point into
-  // these Prepared objects (filter, query vectors). With allow_partial the
-  // proxy may return while an abandoned straggler still runs, so the tasks
-  // — not this stack frame — must own the request state.
-  auto prepared = std::make_shared<std::vector<Prepared>>(reqs.size());
+  std::vector<Result<SearchResult>> results = Serve(reqs, &root);
 
-  // --- Overload front door, per request (each tenant/priority gets its
-  // own decision; refused requests fail in place without preparation). ---
+  auto& metrics = MetricsRegistry::Global();
+  metrics.GetCounter("proxy.searches")->Add(static_cast<int64_t>(reqs.size()));
+  metrics.GetRate("proxy.search_rate")
+      ->Mark(static_cast<int64_t>(reqs.size()));
+  metrics.GetHistogram("proxy.batch_latency")
+      ->Observe(static_cast<double>(NowMicros() - t0));
+  return results;
+}
+
+std::vector<Result<SearchResult>> Proxy::Serve(
+    std::span<const SearchRequest> reqs, Span* root) {
+  std::vector<Result<SearchResult>> results(reqs.size());
+  std::vector<Pending> pending(reqs.size());
+  // Each admitted request holds its inflight slot until the batch is done.
   std::vector<AdmissionGuard> guards;
   guards.reserve(reqs.size());
-  std::vector<char> degraded(reqs.size(), 0);
-  std::vector<char> refused(reqs.size(), 0);
+  std::map<CollectionId, std::vector<size_t>> by_collection;
+  Timestamp batch_ts = 0;  // One query timestamp for the whole batch.
   for (size_t i = 0; i < reqs.size(); ++i) {
-    const AdmitDecision decision =
-        admission_.Admit(reqs[i].tenant, reqs[i].priority);
+    const SearchRequest& req = reqs[i];
+    // --- Overload front door (core/admission.h), per request: each
+    // tenant/priority gets its own decision; refused requests fail in
+    // place without preparation. ---
+    const AdmitDecision decision = admission_.Admit(req.tenant, req.priority);
     guards.emplace_back(&admission_, decision.admitted());
-    RecordAdmission(nullptr, decision);
+    RecordAdmission(reqs.size() == 1 ? root : nullptr, decision);
     if (!decision.admitted()) {
-      refused[i] = 1;
       results[i] = AdmissionController::ShedStatus(
           "proxy (" + std::string(decision.reason) + ")", decision.stage,
           decision.retry_after_ms);
-    } else if (decision.action == AdmitAction::kDegrade) {
-      degraded[i] = 1;
+      continue;
     }
-  }
-  // The degrade switch for request i: forced partial results under
-  // brownout, on top of whatever the request asked for.
-  auto allow_partial = [&](size_t i) {
-    return reqs[i].allow_partial || degraded[i] != 0;
-  };
-
-  // One query timestamp for the whole batch.
-  const Timestamp batch_ts = ctx_.tso->Allocate();
-  std::map<CollectionId, std::vector<size_t>> by_collection;
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    if (refused[i] != 0) continue;
-    auto prep = Prepare(reqs[i]);
+    auto prep = Prepare(req);
     if (!prep.ok()) {
       results[i] = prep.status();
       continue;
     }
-    (*prepared)[i] = std::move(prep).value();
-    if (reqs[i].travel_ts == 0) (*prepared)[i].nreq.read_ts = batch_ts;
-    by_collection[(*prepared)[i].meta.id].push_back(i);
+    auto owned = std::make_shared<Prepared>(std::move(prep).value());
+    if (req.travel_ts == 0) {
+      if (batch_ts == 0) batch_ts = ctx_.tso->Allocate();
+      owned->nreq.read_ts = batch_ts;
+    }
+    // Brownout stage 1+: serve, but degraded — partial results allowed and
+    // tighter per-node deadlines, trading completeness for bounded latency.
+    const bool degraded = decision.action == AdmitAction::kDegrade;
+    Pending& p = pending[i];
+    p.allow_partial = req.allow_partial || degraded;
+    p.deadline_ms = degraded ? DegradedDeadlineMs(req.node_deadline_ms)
+                    : req.node_deadline_ms > 0
+                        ? req.node_deadline_ms
+                        : ctx_.config.node_search_deadline_ms;
+    by_collection[owned->meta.id].push_back(i);
+    p.prep = std::move(owned);
   }
 
-  for (const auto& [collection, indices] : by_collection) {
-    auto plan = query_coord_->PlanFor(collection);
+  const int32_t retries = std::max(0, ctx_.config.search_retry_attempts);
+  for (auto& [collection, group] : by_collection) {
+    FanOut(pending, group, root, &results);
+    for (int32_t attempt = 1; attempt <= retries; ++attempt) {
+      // Only transient fan-out failures are worth re-dispatching; each
+      // retry re-plans, so a search that raced a node crash lands on the
+      // failover survivor. kResourceExhausted is deliberately NOT here: a
+      // shed/backpressured fan-out must surface, not add load.
+      std::erase_if(group, [&](size_t i) {
+        if (results[i].ok()) return true;
+        const StatusCode code = results[i].status().code();
+        return code != StatusCode::kUnavailable &&
+               code != StatusCode::kTimeout;
+      });
+      if (group.empty()) break;
+      MetricsRegistry::Global()
+          .GetCounter("proxy.search_retries")
+          ->Add(static_cast<int64_t>(group.size()));
+      Span retry(root->context(), "proxy.retry");
+      retry.Tag("attempt", static_cast<int64_t>(attempt));
+      retry.Tag("cause", results[group.front()].status().ToString());
+      FanOut(pending, group, &retry, &results);
+    }
+  }
+  return results;
+}
+
+void Proxy::FanOut(const std::vector<Pending>& pending,
+                   const std::vector<size_t>& group, Span* parent,
+                   std::vector<Result<SearchResult>>* results) {
+  // --- Route per the coordinator's load-aware plan: every channel owner
+  // (growing data), each sealed segment on exactly one p2c-chosen owner. ---
+  Span route(parent->context(), "query_coord.route");
+  const auto plan =
+      query_coord_->PlanFor(pending[group.front()].prep->meta.id);
+  route.Tag("nodes", static_cast<int64_t>(plan.routes.size()));
+  if (plan.unroutable > 0) {
+    route.Tag("unroutable", plan.unroutable);
+  }
+  route.End();
+
+  // Segments with no live replica (mid-repair): a strict request must not
+  // silently return a subset, so it fails retryably before dispatch — a
+  // retry's re-plan lands after the reconciler repairs. Partial requests
+  // proceed with the loss counted against coverage below.
+  std::vector<size_t> live;
+  live.reserve(group.size());
+  for (size_t i : group) {
     if (plan.routes.empty()) {
-      for (size_t i : indices) {
-        results[i] = Status::Unavailable("collection not loaded");
-      }
-      continue;
+      (*results)[i] =
+          Status::Unavailable("collection is not loaded on any query node");
+    } else if (plan.unroutable > 0 && !pending[i].allow_partial) {
+      (*results)[i] =
+          Status::Unavailable("sealed segments awaiting replica repair");
+    } else {
+      live.push_back(i);
     }
-    // Coverage weights, as in Search(): assigned sealed + growing-only,
-    // plus the unroutable segments no route can cover.
-    std::vector<int64_t> weights;
-    weights.reserve(plan.routes.size());
-    int64_t total_weight = plan.unroutable;
-    for (const auto& r : plan.routes) {
-      const int64_t w = std::max<int64_t>(1, r.weight);
-      weights.push_back(w);
-      total_weight += w;
-    }
+  }
+  if (live.empty()) return;
 
-    // The group waits as long as its most patient request allows; stricter
-    // per-request deadlines are not individually enforced (batching trades
-    // that precision for one dispatch per node). Degraded requests bring
-    // their tightened deadline into the max.
-    int64_t deadline_ms = 0;
-    for (size_t i : indices) {
-      int64_t eff = reqs[i].node_deadline_ms > 0
-                        ? reqs[i].node_deadline_ms
-                        : ctx_.config.node_search_deadline_ms;
-      if (degraded[i] != 0) eff = DegradedDeadlineMs(reqs[i].node_deadline_ms);
-      deadline_ms = std::max(deadline_ms, eff);
-    }
+  // Coverage weights: how much of the collection each route answers for —
+  // its assigned sealed segments plus its growing-only ones. A node in the
+  // plan only for its shard channel (no data yet) still weighs 1.
+  // Unroutable segments weigh in the total but can never be covered.
+  std::vector<int64_t> weights;
+  weights.reserve(plan.routes.size());
+  int64_t total_weight = plan.unroutable;
+  for (const auto& r : plan.routes) {
+    const int64_t w = std::max<int64_t>(1, r.weight);
+    weights.push_back(w);
+    total_weight += w;
+  }
 
-    auto batch = std::make_shared<std::vector<NodeSearchRequest>>();
-    batch->reserve(indices.size());
-    for (size_t i : indices) batch->push_back((*prepared)[i].nreq);
-    const int64_t deadline_us =
-        deadline_ms > 0 ? NowMicros() + deadline_ms * 1000 : 0;
-    for (auto& nreq : *batch) {
+  // The group waits as long as its most patient request allows: batching
+  // trades per-request deadline precision for one dispatch round.
+  int64_t deadline_ms = 0;
+  for (size_t i : live) {
+    if (pending[i].deadline_ms <= 0) {
+      deadline_ms = 0;
+      break;
+    }
+    deadline_ms = std::max(deadline_ms, pending[i].deadline_ms);
+  }
+  // Stamp the absolute deadline into the node requests: a straggler the
+  // proxy abandons below keeps running on its executor, but its parallel
+  // segment fan-out checks this and stops claiming new segment work
+  // instead of finishing a result nobody will read.
+  const int64_t deadline_us =
+      deadline_ms > 0 ? NowMicros() + deadline_ms * 1000 : 0;
+
+  // Dispatch straight onto the node executors: one task per (node,
+  // request), node-major, each owning its copy of the node request with
+  // that node's sealed-segment assignment, plus the Prepared it points into.
+  std::vector<std::future<Result<std::vector<SegmentHit>>>> futures;
+  futures.reserve(plan.routes.size() * live.size());
+  for (const auto& r : plan.routes) {
+    for (size_t i : live) {
+      NodeSearchRequest nreq = pending[i].prep->nreq;
+      nreq.sealed_filter = r.sealed_filter;
+      nreq.plan_handoff_seq = plan.handoff_seq;
       nreq.deadline_us = deadline_us;
-      nreq.trace = root.context();
+      nreq.trace = parent->context();
+      futures.push_back(r.node->SearchAsync(std::move(nreq), pending[i].prep));
     }
+  }
 
-    // One dispatch per node for the whole group. Each node gets its own
-    // copy of the group's requests carrying that node's sealed-segment
-    // assignment (the shared template has no filter).
-    std::vector<
-        std::future<std::vector<Result<std::vector<SegmentHit>>>>>
-        futures;
-    futures.reserve(plan.routes.size());
-    for (auto& r : plan.routes) {
-      auto node_batch =
-          std::make_shared<std::vector<NodeSearchRequest>>(*batch);
-      for (auto& nreq : *node_batch) {
-        nreq.sealed_filter = r.sealed_filter;
-        nreq.plan_handoff_seq = plan.handoff_seq;
-      }
-      auto node = r.node;
-      futures.push_back(pool_.Submit([node, prepared, node_batch]() {
-        return node->SearchBatch(*node_batch);
-      }));
-    }
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(
-                              std::max<int64_t>(0, deadline_ms));
-    // One slot per node; nullopt = the node missed the deadline (it keeps
-    // running against the shared_ptr state; the proxy stops waiting).
-    std::vector<
-        std::optional<std::vector<Result<std::vector<SegmentHit>>>>>
-        per_node;
-    per_node.reserve(plan.routes.size());
-    for (auto& fut : futures) {
+  struct Gathered {
+    std::vector<std::vector<Neighbor>> lists;
+    int64_t covered_weight = 0;
+    int64_t dropped_nodes = 0;
+    Status failure;  ///< A strict request's first node failure.
+  };
+  std::vector<Gathered> gathered(live.size());
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(deadline_ms);
+  for (size_t n = 0; n < plan.routes.size(); ++n) {
+    for (size_t pos = 0; pos < live.size(); ++pos) {
+      Gathered& g = gathered[pos];
+      // A failed strict request stops waiting; its remaining node tasks
+      // run on as abandoned stragglers against their own state.
+      if (!g.failure.ok()) continue;
+      auto& fut = futures[n * live.size() + pos];
+      Status st;
       if (deadline_ms > 0 &&
           fut.wait_until(deadline) == std::future_status::timeout) {
-        per_node.emplace_back(std::nullopt);
-        continue;
-      }
-      per_node.emplace_back(fut.get());
-    }
-
-    for (size_t pos = 0; pos < indices.size(); ++pos) {
-      const size_t i = indices[pos];
-      if (plan.unroutable > 0 && !allow_partial(i)) {
-        // Same rule as Search(): a strict request never silently serves a
-        // subset while segments await replica repair.
-        results[i] =
-            Status::Unavailable("sealed segments awaiting replica repair");
-        continue;
-      }
-      std::vector<std::vector<Neighbor>> lists;
-      int64_t covered_weight = 0;
-      int64_t degraded_nodes = 0;
-      Status failure;
-      for (size_t n = 0; n < per_node.size(); ++n) {
-        if (!per_node[n].has_value()) {
-          if (!allow_partial(i)) {
-            failure = Status::Timeout(
-                "query node missed the search deadline");
-            break;
-          }
-          ++degraded_nodes;
+        st = Status::Timeout("query node missed the search deadline");
+      } else {
+        Result<std::vector<SegmentHit>> hits = fut.get();
+        if (hits.ok()) {
+          g.covered_weight += weights[n];
+          std::vector<Neighbor> list;
+          list.reserve(hits.value().size());
+          for (const auto& h : hits.value()) list.push_back({h.pk, h.score});
+          g.lists.push_back(std::move(list));
           continue;
         }
-        const auto& hits = (*per_node[n])[pos];
-        if (!hits.ok()) {
-          if (!allow_partial(i)) {
-            failure = hits.status();
-            break;
-          }
-          ++degraded_nodes;
-          continue;
-        }
-        covered_weight += weights[n];
-        std::vector<Neighbor> list;
-        list.reserve(hits.value().size());
-        for (const auto& h : hits.value()) list.push_back({h.pk, h.score});
-        lists.push_back(std::move(list));
+        st = hits.status();
       }
-      if (!failure.ok()) {
-        results[i] = failure;
+      if (!pending[live[pos]].allow_partial) {
+        g.failure = std::move(st);
         continue;
       }
-      if (lists.empty()) {
-        results[i] =
-            Status::Unavailable("every query node failed or timed out");
-        continue;
-      }
-      SearchResult out =
-          ToResult(MergeTopK(lists, reqs[i].k, /*dedup_ids=*/true));
-      out.coverage = total_weight > 0
-                         ? static_cast<double>(covered_weight) / total_weight
-                         : 1.0;
-      if (degraded_nodes > 0) {
-        MetricsRegistry::Global()
-            .GetCounter("proxy.degraded_nodes")
-            ->Add(degraded_nodes);
-      }
-      if (out.coverage < 1.0) {
-        MetricsRegistry::Global().GetCounter("proxy.partial_results")->Add(1);
-      }
-      results[i] = std::move(out);
+      parent->Event("node dropped: " + st.ToString());
+      ++g.dropped_nodes;
     }
   }
 
-  MetricsRegistry::Global()
-      .GetCounter("proxy.searches")
-      ->Add(static_cast<int64_t>(reqs.size()));
-  MetricsRegistry::Global().GetRate("proxy.search_rate")->Mark(
-      static_cast<int64_t>(reqs.size()));
-  MetricsRegistry::Global()
-      .GetHistogram("proxy.batch_latency")
-      ->Observe(static_cast<double>(NowMicros() - t0));
-  return results;
+  auto& metrics = MetricsRegistry::Global();
+  for (size_t pos = 0; pos < live.size(); ++pos) {
+    const size_t i = live[pos];
+    Gathered& g = gathered[pos];
+    if (!g.failure.ok()) {
+      (*results)[i] = std::move(g.failure);
+      continue;
+    }
+    if (g.lists.empty()) {
+      (*results)[i] =
+          Status::Unavailable("every query node failed or timed out");
+      continue;
+    }
+    // --- Global reduce with pk dedup. ---
+    Span merge(parent->context(), "proxy.merge");
+    merge.Tag("lists", static_cast<int64_t>(g.lists.size()));
+    SearchResult out = ToResult(MergeTopK(
+        g.lists, pending[i].prep->nreq.params.k, /*dedup_ids=*/true));
+    merge.End();
+    out.coverage = total_weight > 0 ? static_cast<double>(g.covered_weight) /
+                                          static_cast<double>(total_weight)
+                                    : 1.0;
+    if (g.dropped_nodes > 0) {
+      metrics.GetCounter("proxy.degraded_nodes")->Add(g.dropped_nodes);
+    }
+    if (out.coverage < 1.0) {
+      metrics.GetCounter("proxy.partial_results")->Add(1);
+    }
+    (*results)[i] = std::move(out);
+  }
 }
 
 Result<Timestamp> Proxy::WriteWithBackpressure(

@@ -3,10 +3,10 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "common/trace.h"
 #include "core/admission.h"
 #include "core/context.h"
@@ -88,14 +88,14 @@ class Proxy {
   Proxy(const CoreContext& ctx, RootCoordinator* root_coord,
         QueryCoordinator* query_coord, LoggerFleet* loggers);
 
+  /// One search: BatchSearch's path for a batch of one request.
   Result<SearchResult> Search(const SearchRequest& req);
 
   /// Batched search (Section 3.6: "requests of the same type are organized
   /// into one batch and handled together"): requests sharing a collection
-  /// share one query timestamp and one dispatch per query node, amortizing
-  /// validation, the consistency gate and executor scheduling. Returns one
-  /// result per request, in order; per-request failures don't fail the
-  /// batch.
+  /// share one query timestamp, one routing plan and one dispatch round to
+  /// the query nodes. Returns one result per request, in order; per-request
+  /// failures don't fail the batch.
   std::vector<Result<SearchResult>> BatchSearch(
       const std::vector<SearchRequest>& reqs);
 
@@ -113,10 +113,10 @@ class Proxy {
 
  private:
   /// Validated request, ready for fan-out. Owns the parsed filter AND the
-  /// query vectors the NodeSearchRequest points into: with allow_partial
-  /// the proxy may abandon a slow node's future and return, so everything a
-  /// node task dereferences must be owned here (shared_ptr-captured), not
-  /// borrowed from the caller's SearchRequest.
+  /// query vectors the NodeSearchRequest points into: the proxy may abandon
+  /// a node's future and return (deadline, strict failure), so everything a
+  /// node task dereferences must be owned here (the task holds a
+  /// shared_ptr), not borrowed from the caller's SearchRequest.
   struct Prepared {
     CollectionMeta meta;
     NodeSearchRequest nreq;
@@ -124,17 +124,36 @@ class Proxy {
     std::vector<std::vector<float>> owned_queries;
   };
 
+  /// An admitted, prepared request as the fan-out sees it.
+  struct Pending {
+    std::shared_ptr<const Prepared> prep;
+    /// The request's own allow_partial, or forced on by brownout degrade.
+    bool allow_partial = false;
+    /// Per-node wait bound in ms; <= 0 waits indefinitely.
+    int64_t deadline_ms = 0;
+  };
+
   /// Runs verification + consistency setup; read_ts is left for the caller
-  /// (single searches and batches stamp differently).
+  /// (the whole batch shares one).
   Result<Prepared> Prepare(const SearchRequest& req);
 
-  /// One fan-out attempt: routes via the coordinator's current snapshot,
-  /// dispatches, gathers, merges. Node spans parent to `parent` (the root
-  /// span on the first attempt, a proxy.retry span on re-dispatch), so a
+  /// The shared body of Search and BatchSearch: per-request admission (its
+  /// decision tagged on `root` when it is the only request), degrade and
+  /// Prepare, then one FanOut per collection, re-run for the requests that
+  /// failed transiently up to search_retry_attempts times.
+  std::vector<Result<SearchResult>> Serve(std::span<const SearchRequest> reqs,
+                                         Span* root);
+
+  /// One fan-out attempt for requests of one collection (indices into
+  /// `pending`/`results`): plans via the coordinator's current snapshot,
+  /// refuses strict requests while segments are unroutable, dispatches
+  /// each request to every routed node, waits with the group deadline and
+  /// reduces per request into `results`. Node spans parent to `parent`
+  /// (the root span on the first attempt, a proxy.retry span after), so a
   /// retried search renders with its attempts as siblings.
-  Result<SearchResult> SearchOnce(const SearchRequest& req,
-                                  const std::shared_ptr<Prepared>& prep,
-                                  Span* parent);
+  void FanOut(const std::vector<Pending>& pending,
+              const std::vector<size_t>& group, Span* parent,
+              std::vector<Result<SearchResult>>* results);
 
   static SearchResult ToResult(std::vector<Neighbor> merged);
 
@@ -142,9 +161,10 @@ class Proxy {
   /// admission.*/shed.* metrics.
   void RecordAdmission(Span* span, const AdmitDecision& decision);
   /// Per-node deadline for a degraded (brownout stage >= 1) request:
-  /// the effective deadline scaled by shed_deadline_factor, or
+  /// the effective deadline scaled by kDegradedDeadlineFactor, or
   /// shed_degraded_deadline_ms when the request was unbounded.
   int64_t DegradedDeadlineMs(int64_t request_deadline_ms) const;
+  static constexpr double kDegradedDeadlineFactor = 0.5;
   /// Shared Insert/Delete backpressure loop: runs `attempt_fn`, honoring a
   /// kResourceExhausted retry-after hint (plus deterministic jitter) up to
   /// admission_write_retry_attempts extra attempts. `last` tells the
@@ -157,7 +177,6 @@ class Proxy {
   QueryCoordinator* query_coord_;
   LoggerFleet* loggers_;
   AdmissionController admission_;  ///< Overload front door.
-  ThreadPool pool_;  ///< Fan-out workers for multi-node dispatch.
 };
 
 }  // namespace manu

@@ -76,35 +76,24 @@ Result<std::vector<SegmentHit>> QueryNode::RunAdmitted(
   return result;
 }
 
-Result<std::vector<SegmentHit>> QueryNode::Search(
-    const NodeSearchRequest& req) {
-  MANU_RETURN_NOT_OK(AdmitSearch(req));
-  return executor_->Submit([this, &req] { return RunAdmitted(req); }).get();
+std::future<Result<std::vector<SegmentHit>>> QueryNode::SearchAsync(
+    NodeSearchRequest req, std::shared_ptr<const void> keepalive) {
+  Status admitted = AdmitSearch(req);
+  if (!admitted.ok()) {
+    std::promise<Result<std::vector<SegmentHit>>> refused;
+    refused.set_value(std::move(admitted));
+    return refused.get_future();
+  }
+  // By value: an abandoned straggler outlives its caller.
+  return executor_->Submit(
+      [this, req = std::move(req), keepalive = std::move(keepalive)] {
+        return RunAdmitted(req);
+      });
 }
 
-std::vector<Result<std::vector<SegmentHit>>> QueryNode::SearchBatch(
-    const std::vector<NodeSearchRequest>& reqs) {
-  // One executor task per request: the batch spreads across the pool
-  // instead of serializing on a single thread (the old mega-task pinned
-  // the whole batch to one executor slot, so query_threads bought batched
-  // clients nothing). Refused requests (expired deadline, full node) fail
-  // in place without claiming a slot.
-  std::vector<Result<std::vector<SegmentHit>>> out(reqs.size());
-  std::vector<std::pair<size_t, std::future<Result<std::vector<SegmentHit>>>>>
-      futures;
-  futures.reserve(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    Status admitted = AdmitSearch(reqs[i]);
-    if (!admitted.ok()) {
-      out[i] = std::move(admitted);
-      continue;
-    }
-    const NodeSearchRequest& req = reqs[i];
-    futures.emplace_back(
-        i, executor_->Submit([this, &req] { return RunAdmitted(req); }));
-  }
-  for (auto& [i, fut] : futures) out[i] = fut.get();
-  return out;
+Result<std::vector<SegmentHit>> QueryNode::Search(
+    const NodeSearchRequest& req) {
+  return SearchAsync(req).get();
 }
 
 void QueryNode::Start() {
@@ -724,9 +713,7 @@ Result<std::vector<SegmentHit>> QueryNode::SearchInternal(
   // lock) from mutating segments mid-search.
   ThreadPool* fanout =
       ctx_.config.parallel_search ? executor_.get() : nullptr;
-  const int64_t grain =
-      std::max<int64_t>(1, ctx_.config.search_parallel_grain);
-  ParallelFor(fanout, num_segments, search_one, grain);
+  ParallelFor(fanout, num_segments, search_one);
   for (Status& st : statuses) {
     if (!st.ok()) {
       span.Tag("error", st.ToString());
@@ -739,29 +726,18 @@ Result<std::vector<SegmentHit>> QueryNode::SearchInternal(
                                            /*dedup_ids=*/true);
   // Calibrated service-time model (see ManuConfig::sim_segment_search_us):
   // pad real compute up to the service target. With the fan-out on, a node
-  // with p executor threads clears its chunks in waves of p; the target is
-  // the modeled critical path — the most segments any one worker scans —
-  // so intra-query speedup is visible under the simulation too (the perf
-  // smoke test relies on this on single-core hosts). The final chunk is
-  // billed at its real size, not padded to a full grain: waves*grain would
-  // overcharge non-divisible or small segment counts (ParallelFor runs
-  // num_segments <= grain inline, which the chunks==1 case models).
+  // with p executor threads clears one segment per thread per wave; the
+  // target is the modeled critical path — the ceil(segments / p) segments
+  // the busiest worker scans — so intra-query speedup is visible under the
+  // simulation too (the perf smoke test relies on this on single-core
+  // hosts).
   if (ctx_.config.sim_segment_search_us > 0 && num_segments > 0) {
     const int64_t p =
         fanout == nullptr
             ? 1
             : std::max<int64_t>(
                   1, static_cast<int64_t>(fanout->num_threads()));
-    const int64_t chunks = (num_segments + grain - 1) / grain;
-    const int64_t last = num_segments - (chunks - 1) * grain;
-    const int64_t waves = (chunks + p - 1) / p;
-    const int64_t tail = chunks - p * (waves - 1);  // Chunks in last wave.
-    // The critical worker runs one full-grain chunk per completed wave,
-    // plus — in the last wave — a full chunk if one exists there (tail >=
-    // 2: the partial chunk is claimed alongside full ones and finishes
-    // earlier), else the lone final chunk at its actual size.
-    const int64_t critical =
-        (waves - 1) * grain + (tail >= 2 ? grain : last);
+    const int64_t critical = (num_segments + p - 1) / p;
     const int64_t target = ctx_.config.sim_segment_search_us * critical;
     const int64_t elapsed = NowMicros() - t0;
     if (elapsed < target) {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -138,12 +139,15 @@ class QueryNode {
   /// gracefully to one thread per query.
   Result<std::vector<SegmentHit>> Search(const NodeSearchRequest& req);
 
-  /// Batched variant (Section 3.6: proxies batch requests of the same
-  /// type): each request is its own executor task, so a batch spreads
-  /// across the pool instead of serializing on one thread; the amortization
-  /// win of batching (one proxy dispatch, one gather) is kept.
-  std::vector<Result<std::vector<SegmentHit>>> SearchBatch(
-      const std::vector<NodeSearchRequest>& reqs);
+  /// Non-blocking Search: admits the request on the caller's thread and
+  /// returns the executor task's future. A refused request (expired
+  /// deadline, full node) comes back as a ready future and never claims an
+  /// executor slot. The task owns `req` and `keepalive` — pass whatever
+  /// req's targets/filter point into — so a caller may abandon the future
+  /// and return while the task still runs. The proxy's fan-out waits on
+  /// these futures directly, one per (node, request).
+  std::future<Result<std::vector<SegmentHit>>> SearchAsync(
+      NodeSearchRequest req, std::shared_ptr<const void> keepalive = nullptr);
 
   // --- Introspection for the coordinator / autoscaler ---
 
@@ -235,7 +239,8 @@ class QueryNode {
 
   NodeId id_;
   CoreContext ctx_;
-  /// Lease fencing epoch (0 when liveness is off); granted in Start().
+  /// Lease fencing epoch (0 for a bare node without a LeaseManager);
+  /// granted in Start().
   int64_t lease_epoch_ = 0;
 
   mutable std::shared_mutex mu_;

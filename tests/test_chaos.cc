@@ -814,6 +814,22 @@ TEST(Liveness, TraceSurvivesRetryAndFailoverRedispatch) {
   EXPECT_TRUE(redispatch_under_retry)
       << "re-dispatched node search not parented to the retry span";
 
+  // A batch takes the same retry loop, re-dispatching only the request
+  // whose fan-out hit the fault.
+  {
+    ScopedFailPoint fp(
+        "query_node.search_segment",
+        FailPointPolicy::ErrorOnce(StatusCode::kUnavailable));
+    auto results = db.BatchSearch({req, req, req});
+    ASSERT_EQ(results.size(), 3u);
+    for (const auto& batched : results) {
+      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+      EXPECT_EQ(batched.value().coverage, 1.0);
+    }
+    EXPECT_EQ(fp.trips(), 1);
+  }
+  EXPECT_EQ(Counter("proxy.search_retries"), retries_before + 2);
+
   // Phase 2: hard failover. Crash a query node, let the watchdog hand its
   // shards to the survivor, and verify a fresh search traces end-to-end on
   // the NEW routing — node spans tagged with the survivor's id, with

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "core/query_node.h"
@@ -244,33 +246,33 @@ TEST(ParallelSearch, BatchUsesPoolAndStaysCorrect) {
       PublishSegments(&fx.mq, &fx.tso, *fx.schema, 8, 25);
   ASSERT_TRUE(fx.node.WaitServiceTs(kColl, last, 5000));
 
-  std::vector<std::vector<float>> queries;
-  std::vector<NodeSearchRequest> reqs;
+  // 16 requests in flight at once on a 4-thread executor, the way the
+  // proxy dispatches a batch: each SearchAsync is its own executor task,
+  // and each task owns its query vector (the keepalive) so the caller's
+  // copies can go before the results are read.
+  std::vector<std::future<Result<std::vector<SegmentHit>>>> futures;
   for (int64_t i = 0; i < 16; ++i) {
-    queries.push_back(RowVector(i * 11 % 200, 0));
+    auto query =
+        std::make_shared<const std::vector<float>>(RowVector(i * 11 % 200, 0));
+    futures.push_back(
+        fx.node.SearchAsync(SingleReq(*fx.schema, *query, 3), query));
   }
-  for (const auto& q : queries) {
-    reqs.push_back(SingleReq(*fx.schema, q, 3));
-  }
-  auto results = fx.node.SearchBatch(reqs);
-  ASSERT_EQ(results.size(), reqs.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+  for (size_t i = 0; i < futures.size(); ++i) {
+    auto res = futures[i].get();
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
     // The best hit for a query equal to a stored row is that row.
-    EXPECT_EQ(results[i].value()[0].pk,
-              static_cast<int64_t>(i) * 11 % 200);
+    EXPECT_EQ(res.value()[0].pk, static_cast<int64_t>(i) * 11 % 200);
   }
 }
 
 TEST(ParallelSearch, SimulatedServiceTimeBillsActualChunkSizes) {
-  // Two segments under an 8-segment grain run inline in ParallelFor; the
-  // modeled service target must bill 2 segments (6 ms here), not a padded
-  // full grain of 8 (24 ms). The bound is one-sided and generous: it only
-  // fails if the model re-inflates small/non-divisible segment counts.
+  // One segment per task: with 4 executor threads, 2 segments clear in a
+  // single wave, so the modeled service target bills ceil(2 / 4) = 1
+  // segment (20 ms here), not the 2 a serial scan would (40 ms). The upper
+  // bound leaves 15 ms of scheduling slack below the two-wave bill.
   ManuConfig config;
   config.query_threads = 4;
-  config.search_parallel_grain = 8;
-  config.sim_segment_search_us = 3000;
+  config.sim_segment_search_us = 20000;
   NodeFixture fx(config);
   const Timestamp last = PublishSegments(&fx.mq, &fx.tso, *fx.schema, 2, 20);
   ASSERT_TRUE(fx.node.WaitServiceTs(kColl, last, 5000));
@@ -285,8 +287,8 @@ TEST(ParallelSearch, SimulatedServiceTimeBillsActualChunkSizes) {
           std::chrono::steady_clock::now() - t0)
           .count();
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_GE(elapsed_us, 2 * config.sim_segment_search_us);
-  EXPECT_LT(elapsed_us, 8 * config.sim_segment_search_us - 4000);
+  EXPECT_GE(elapsed_us, config.sim_segment_search_us);
+  EXPECT_LT(elapsed_us, 2 * config.sim_segment_search_us - 5000);
 }
 
 TEST(ConsistencyGate, StopMidWaitReturnsUnavailable) {

@@ -458,6 +458,28 @@ TEST(PlacementE2E, UnroutableSegmentsAreAccountedAndRepaired) {
     auto part = db.Search(partial);
     ASSERT_TRUE(part.ok()) << part.status().ToString();
     EXPECT_LT(part.value().coverage, 1.0);
+
+    // A batch applies the same rule per request.
+    auto batch = db.BatchSearch({strict, partial});
+    ASSERT_EQ(batch.size(), 2u);
+    ASSERT_FALSE(batch[0].ok());
+    EXPECT_EQ(batch[0].status().code(), StatusCode::kUnavailable);
+    ASSERT_TRUE(batch[1].ok()) << batch[1].status().ToString();
+    EXPECT_LT(batch[1].value().coverage, 1.0);
+
+    // A refused strict request is never dispatched: a strict-only batch
+    // reaches no query node.
+    const int64_t node_searches = MetricsRegistry::Global().HistogramCount(
+        "query_node.search_latency");
+    auto refused = db.BatchSearch({strict, strict});
+    ASSERT_EQ(refused.size(), 2u);
+    for (const auto& res : refused) {
+      ASSERT_FALSE(res.ok());
+      EXPECT_EQ(res.status().code(), StatusCode::kUnavailable);
+    }
+    EXPECT_EQ(MetricsRegistry::Global().HistogramCount(
+                  "query_node.search_latency"),
+              node_searches);
     EXPECT_GT(MetricsRegistry::Global().CounterValue(
                   "placement.unroutable_segments"),
               unroutable_before);
