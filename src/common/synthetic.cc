@@ -78,8 +78,6 @@ VectorDataset MakeDeepLike(int64_t num_rows, uint64_t seed) {
 
 VectorDataset MakeQueries(const SyntheticOptions& opts, int64_t num_queries,
                           uint64_t seed) {
-  SyntheticOptions qopts = opts;
-  qopts.num_rows = num_queries;
   // Different row seed, same center seed: MakeClusteredDataset derives the
   // center seed from opts.seed, so keep it and perturb only the row stream.
   std::vector<float> centers =

@@ -205,9 +205,8 @@ Result<SegmentId> DataCoordinator::AllocateSegment(CollectionId collection,
 
 void DataCoordinator::PublishFlush(CollectionId collection, ShardId shard,
                                    SegmentId up_to) const {
-  LogEntry flush;
+  LogEntry flush;  // Unstamped: the broker stamps it at staging.
   flush.type = LogEntryType::kFlush;
-  flush.timestamp = ctx_.tso->Allocate();
   flush.collection = collection;
   flush.shard = shard;
   flush.segment = up_to;  // Seal every buffered segment with id < up_to.

@@ -82,8 +82,8 @@ Result<Timestamp> Logger::Append(const CollectionMeta& meta, ShardId shard,
   Span span(trace, "logger.append");
   span.Tag("logger", static_cast<int64_t>(id_));
   span.Tag("shard", static_cast<int64_t>(shard));
-  // Backpressure gate FIRST — before the TSO round trip and before any LSM
-  // mutation, so a shed write has zero side effects.
+  // Backpressure gate FIRST — before any LSM mutation, so a shed write has
+  // zero side effects.
   {
     Status admit = ReserveSlot();
     if (!admit.ok()) {
@@ -97,15 +97,6 @@ Result<Timestamp> Logger::Append(const CollectionMeta& meta, ShardId shard,
   if (rows == 0) return Status::InvalidArgument("empty batch");
   span.Tag("rows", rows);
 
-  // One TSO round trip stamps the whole batch.
-  const Timestamp first =
-      ctx_.tso->AllocateBlock(static_cast<uint32_t>(rows));
-  batch.timestamps.resize(rows);
-  for (int64_t i = 0; i < rows; ++i) {
-    batch.timestamps[i] = first + static_cast<Timestamp>(i);
-  }
-  const Timestamp last = batch.timestamps.back();
-
   MANU_ASSIGN_OR_RETURN(
       SegmentId segment,
       data_coord_->AllocateSegment(meta.id, shard, rows, batch.ByteSize()));
@@ -115,9 +106,10 @@ Result<Timestamp> Logger::Append(const CollectionMeta& meta, ShardId shard,
     MANU_RETURN_NOT_OK(map->Put(pk, segment));
   }
 
+  // Unstamped: the broker stamps the rows (one TSO block) at staging, so
+  // no time-tick can pass them between stamp and publish.
   LogEntry entry;
   entry.type = LogEntryType::kInsert;
-  entry.timestamp = last;
   entry.collection = meta.id;
   entry.shard = shard;
   entry.segment = segment;
@@ -129,11 +121,12 @@ Result<Timestamp> Logger::Append(const CollectionMeta& meta, ShardId shard,
   // decision: a superseded instance's logger is excluded from the commit
   // group before any waiter is acked, even if it was staged before the
   // takeover (the recovered instance owns the log now).
+  Timestamp last = 0;
   {
     Span publish(span.context(), "wal.publish");
     Status fence_status;
     if (ctx_.mq->Publish(ShardChannelName(meta.id, shard), std::move(entry),
-                         InstanceFence(), &fence_status) < 0) {
+                         InstanceFence(), &fence_status, &last) < 0) {
       publish.Tag("acked", "false");
       if (!fence_status.ok()) {
         span.Tag("error", fence_status.ToString());
@@ -177,20 +170,19 @@ Result<Timestamp> Logger::Delete(const CollectionMeta& meta, ShardId shard,
   }
   if (existing.empty()) return Timestamp{0};
 
-  LogEntry entry;
+  LogEntry entry;  // Unstamped, like Append's.
   entry.type = LogEntryType::kDelete;
-  entry.timestamp = ctx_.tso->Allocate();
   entry.collection = meta.id;
   entry.shard = shard;
   entry.delete_pks = std::move(existing);
-  const Timestamp ts = entry.timestamp;
+  Timestamp ts = 0;
   // Same commit-point discipline as Append: the epoch fence is evaluated
   // inside the group-commit decision, never before it.
   {
     Span publish(span.context(), "wal.publish");
     Status fence_status;
     if (ctx_.mq->Publish(ShardChannelName(meta.id, shard), std::move(entry),
-                         InstanceFence(), &fence_status) < 0) {
+                         InstanceFence(), &fence_status, &ts) < 0) {
       publish.Tag("acked", "false");
       if (!fence_status.ok()) {
         span.Tag("error", fence_status.ToString());

@@ -18,10 +18,10 @@ namespace manu {
 
 /// One logger node (Section 3.3): the entry point publishing data
 /// manipulation requests into the WAL. For each request it verifies
-/// legality, fetches an LSN block from the TSO, asks the data coordinator
-/// for the target segment, records the entity->segment mapping in its local
-/// LSM tree (flushed to object storage as SSTables) and appends to the WAL
-/// channel of the shard.
+/// legality, asks the data coordinator for the target segment, records the
+/// entity->segment mapping in its local LSM tree (flushed to object storage
+/// as SSTables) and appends to the WAL channel of the shard, whose broker
+/// stamps the request's LSN block from the TSO as it stages the entry.
 class Logger {
  public:
   Logger(NodeId id, const CoreContext& ctx, DataCoordinator* data_coord);
@@ -29,7 +29,8 @@ class Logger {
   NodeId id() const { return id_; }
 
   /// Publishes one shard's worth of rows. `batch` must contain rows of a
-  /// single shard; timestamps are assigned here. Returns the max LSN.
+  /// single shard; its timestamps are assigned by the WAL at staging.
+  /// Returns the max LSN.
   /// `trace` (optional) parents this shard's logger.append span.
   Result<Timestamp> Append(const CollectionMeta& meta, ShardId shard,
                            EntityBatch batch, const TraceContext& trace = {});
@@ -65,7 +66,7 @@ class Logger {
   /// Reserves one slot in the bounded in-flight window
   /// (ManuConfig::logger_inflight_limit; <= 0 = unbounded). A full window
   /// returns kResourceExhausted with a retry-after hint BEFORE any side
-  /// effect (no TSO allocation, no LSM mutation), so a rejected write is a
+  /// effect (no LSM mutation, no WAL entry), so a rejected write is a
   /// pure no-op the proxy can safely re-attempt.
   Status ReserveSlot();
 

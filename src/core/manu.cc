@@ -99,8 +99,8 @@ ManuInstance::ManuInstance(ManuConfig config,
   wal_options.sim_flush_latency_us = config_.wal_sim_flush_latency_us;
   durable_->mq.SetOptions(wal_options);
 
-  ticker_ = std::make_unique<TimeTickEmitter>(
-      &durable_->mq, &durable_->tso, config_.time_tick_interval_ms);
+  ticker_ = std::make_unique<TimeTickEmitter>(&durable_->mq,
+                                              config_.time_tick_interval_ms);
 
   leases_ = std::make_unique<LeaseManager>(&durable_->meta,
                                            config_.lease_ttl_ms);

@@ -30,8 +30,8 @@ namespace manu {
 /// working deployment from it.
 struct DurableState {
   MetaStore meta;
-  MessageQueue mq;
   Tso tso;
+  MessageQueue mq{&tso};  ///< Stamps unstamped entries at staging.
   std::shared_ptr<ObjectStore> store;
 
   explicit DurableState(std::shared_ptr<ObjectStore> s = nullptr)

@@ -242,6 +242,16 @@ std::vector<Result<SearchResult>> Proxy::Serve(
 
   const int32_t retries = std::max(0, ctx_.config.search_retry_attempts);
   for (auto& [collection, group] : by_collection) {
+    // Strong (tau=0) reads fence the log once per batch, before the plan:
+    // each shard channel lagging the batch's read_ts gets one tick, which
+    // opens the node gate as soon as the pump consumes it.
+    if (std::any_of(group.begin(), group.end(), [&](size_t i) {
+          return pending[i].prep->nreq.staleness_ms == 0;
+        })) {
+      ctx_.ticker->Fence(collection,
+                         pending[group.front()].prep->meta.num_shards,
+                         batch_ts);
+    }
     FanOut(pending, group, root, &results);
     for (int32_t attempt = 1; attempt <= retries; ++attempt) {
       // Only transient fan-out failures are worth re-dispatching; each

@@ -139,7 +139,8 @@ class Proxy {
 
   /// The shared body of Search and BatchSearch: per-request admission (its
   /// decision tagged on `root` when it is the only request), degrade and
-  /// Prepare, then one FanOut per collection, re-run for the requests that
+  /// Prepare, then per collection one read fence when a request is strong
+  /// (TimeTickEmitter::Fence) and one FanOut, re-run for the requests that
   /// failed transiently up to search_retry_attempts times.
   std::vector<Result<SearchResult>> Serve(std::span<const SearchRequest> reqs,
                                          Span* root);

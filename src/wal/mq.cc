@@ -86,13 +86,28 @@ const std::shared_ptr<const LogEntry>& MessageQueue::EntryAt(
   return chunk.entries[static_cast<size_t>(offset - chunk.first_offset)];
 }
 
+void MessageQueue::StampLocked(LogEntry* entry) {
+  const bool insert = entry->type == LogEntryType::kInsert;
+  const int64_t n =
+      insert ? std::max<int64_t>(1, entry->batch.NumRows()) : 1;
+  const Timestamp first = tso_->AllocateBlock(static_cast<uint32_t>(n));
+  if (insert) {
+    // Sized before the lock was taken; only the stamps are written here.
+    std::vector<Timestamp>& stamps = entry->batch.timestamps;
+    for (size_t i = 0; i < stamps.size(); ++i) {
+      stamps[i] = first + static_cast<Timestamp>(i);
+    }
+  }
+  entry->timestamp = first + static_cast<Timestamp>(n - 1);
+}
+
 int64_t MessageQueue::Publish(const std::string& channel, LogEntry entry) {
   return Publish(channel, std::move(entry), PublishFence());
 }
 
 int64_t MessageQueue::Publish(const std::string& channel, LogEntry entry,
                               const PublishFence& fence,
-                              Status* fence_status) {
+                              Status* fence_status, Timestamp* lsn) {
   // Publish's int64_t signature carries failure as -1: injected mq.publish
   // faults (delay policies just stall, like a slow broker), publishes
   // racing Shutdown(), and refused fences all refuse the entry, and
@@ -102,6 +117,12 @@ int64_t MessageQueue::Publish(const std::string& channel, LogEntry entry,
   if (!fp.ok() || IsShutdown()) return -1;
 
   ChannelState* state = GetOrCreate(channel);
+  const bool stamp = tso_ != nullptr && entry.timestamp == 0;
+  if (stamp && entry.type == LogEntryType::kInsert) {
+    entry.batch.timestamps.resize(
+        static_cast<size_t>(entry.batch.NumRows()));
+  }
+  auto staged = std::make_shared<LogEntry>(std::move(entry));
   auto ticket = std::make_shared<Ticket>();
   std::unique_lock<std::mutex> lk(state->mu);
   // Re-check under the lock: staging after the Shutdown broadcast would let
@@ -109,8 +130,12 @@ int64_t MessageQueue::Publish(const std::string& channel, LogEntry entry,
   // commit decision in RunFlusher re-checks once more for entries that were
   // already staged when Shutdown fired.
   if (IsShutdown()) return -1;
+  // Stamp and stage under one hold of the channel mutex: the flusher takes
+  // `pending` in staging order, so the channel commits in LSN order.
+  if (stamp) StampLocked(staged.get());
+  const Timestamp staged_lsn = staged->timestamp;
   Pending p;
-  p.entry = std::make_shared<const LogEntry>(std::move(entry));
+  p.entry = std::move(staged);
   p.fence = fence ? &fence : nullptr;
   p.ticket = ticket;
   state->pending.push_back(std::move(p));
@@ -136,6 +161,7 @@ int64_t MessageQueue::Publish(const std::string& channel, LogEntry entry,
     if (fence_status != nullptr) *fence_status = ticket->fence_status;
   } else {
     WalCounters::Get().publishes->Add(1);
+    if (lsn != nullptr) *lsn = staged_lsn;
   }
   return ticket->offset;
 }
@@ -214,15 +240,15 @@ void MessageQueue::RunFlusher(ChannelState* state,
     if (!accepted.empty()) {
       auto next = std::make_shared<Snapshot>(*state->snap_owner);
       int64_t offset = next->end_offset;
-      // Track the worst LSN inversion ever committed (concurrent
-      // publishers interleave TSO timestamps); FirstOffsetAtOrAfter's
-      // walk-back uses it as a sound bound.
+      // Track the worst LSN inversion ever committed (only hand-stamped
+      // publishes can interleave); FirstOffsetAtOrAfter's walk-back uses
+      // it as a sound bound.
       for (const auto& e : accepted) {
-        if (state->max_lsn_seen > e->timestamp) {
-          next->max_inversion = std::max(
-              next->max_inversion, state->max_lsn_seen - e->timestamp);
+        if (next->max_lsn > e->timestamp) {
+          next->max_inversion =
+              std::max(next->max_inversion, next->max_lsn - e->timestamp);
         } else {
-          state->max_lsn_seen = e->timestamp;
+          next->max_lsn = e->timestamp;
         }
       }
       auto chunk = std::make_shared<Chunk>();
@@ -339,6 +365,12 @@ Timestamp MessageQueue::TruncatedDeleteTs(const std::string& channel) const {
   return SnapRef(state)->truncated_delete_ts;
 }
 
+Timestamp MessageQueue::CommittedLsn(const std::string& channel) const {
+  const ChannelState* state = Find(channel);
+  if (state == nullptr) return 0;
+  return SnapRef(state)->max_lsn;
+}
+
 int64_t MessageQueue::FirstOffsetAtOrAfter(const std::string& channel,
                                            Timestamp ts) const {
   const ChannelState* state = Find(channel);
@@ -346,11 +378,11 @@ int64_t MessageQueue::FirstOffsetAtOrAfter(const std::string& channel,
   SnapRef snap(state);
   const int64_t begin = snap->begin_offset;
   const int64_t n = snap->end_offset - begin;
-  // Entries are near-LSN-ordered (one TSO; concurrent publishers can
-  // interleave): binary search as if sorted, then walk back over the
-  // channel's recorded worst-case inversion window. The bound makes the
-  // walk-back sound for ANY interleaving ever committed, not just
-  // inversions adjacent to the probe: once an entry's LSN drops below
+  // Entries are near-LSN-ordered (stamped at staging; hand-stamped
+  // publishes can interleave): binary search as if sorted, then walk back
+  // over the channel's recorded worst-case inversion window. The bound
+  // makes the walk-back sound for ANY interleaving ever committed, not
+  // just inversions adjacent to the probe: once an entry's LSN drops below
   // ts - max_inversion, no earlier entry can reach ts.
   int64_t lo = 0, hi = n;
   while (lo < hi) {

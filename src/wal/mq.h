@@ -13,6 +13,7 @@
 
 #include "common/status.h"
 #include "wal/message.h"
+#include "wal/tso.h"
 
 namespace manu {
 
@@ -43,7 +44,11 @@ struct WalOptions {
 /// whole "log as data" architecture rests on.
 ///
 /// Write path (group commit): publishers stage entries into a per-channel
-/// append buffer and block on a commit ticket. The first stager becomes the
+/// append buffer and block on a commit ticket. A broker built over a Tso
+/// stamps every unstamped entry (timestamp 0) while it stages it, under
+/// the channel mutex: a channel's stamped entries are therefore committed
+/// in LSN order, and a time-tick can never pass an entry that is stamped
+/// but not yet in the log. The first stager becomes the
 /// flush leader: it takes the staged group, batch-serializes it into one
 /// frame (the simulated device write), evaluates each entry's publish fence
 /// at the commit decision, installs the accepted entries as one immutable
@@ -80,6 +85,8 @@ class MessageQueue {
 
   MessageQueue() = default;
   explicit MessageQueue(const WalOptions& options) { SetOptions(options); }
+  /// A broker that stamps unstamped entries at staging from `tso`.
+  explicit MessageQueue(Tso* tso) : tso_(tso) {}
   MessageQueue(const MessageQueue&) = delete;
   MessageQueue& operator=(const MessageQueue&) = delete;
 
@@ -93,13 +100,20 @@ class MessageQueue {
   /// entry's commit group has flushed; the ack and the install are atomic
   /// per group.
   ///
+  /// An entry published with timestamp 0 to a broker built over a Tso is
+  /// stamped at staging: it gets the next LSN, and a kInsert entry gets one
+  /// per row (rows first..last, entry.timestamp = last). A hand-stamped
+  /// entry keeps its timestamp. On ack, the entry's LSN is written to `lsn`
+  /// when non-null.
+  ///
   /// `fence` (optional) is checked at the commit decision — see
   /// PublishFence. On refusal, the fence's status is copied to
   /// `fence_status` when non-null (OK there + -1 here means the broker
   /// itself refused: shutdown or fault).
   int64_t Publish(const std::string& channel, LogEntry entry);
   int64_t Publish(const std::string& channel, LogEntry entry,
-                  const PublishFence& fence, Status* fence_status = nullptr);
+                  const PublishFence& fence, Status* fence_status = nullptr,
+                  Timestamp* lsn = nullptr);
 
   /// Creates a subscription starting at `position`.
   std::shared_ptr<Subscription> Subscribe(const std::string& channel,
@@ -129,11 +143,18 @@ class MessageQueue {
   /// binlogs, so recovery flags truncated deletes above the floor.
   Timestamp TruncatedDeleteTs(const std::string& channel) const;
 
+  /// Highest LSN committed to `channel` (0 for an empty/unknown channel),
+  /// read wait-free from the committed snapshot. For a channel whose
+  /// entries are all stamped at staging this is the tail's LSN, and no
+  /// entry below it can still be committed.
+  Timestamp CommittedLsn(const std::string& channel) const;
+
   /// Offset of the first retained entry with LSN >= `ts` (EndOffset if
-  /// none). Entries are near-LSN-ordered per channel (one TSO; concurrent
-  /// publishers can interleave), so the search walks back over the
-  /// channel's recorded worst-case inversion window — no entry with
-  /// LSN >= ts is ever skipped, however wide the interleaving was.
+  /// none). Entries stamped at staging are LSN-ordered, but hand-stamped
+  /// publishes from concurrent publishers can interleave, so the search
+  /// walks back over the channel's recorded worst-case inversion window —
+  /// no entry with LSN >= ts is ever skipped, however wide the
+  /// interleaving was.
   int64_t FirstOffsetAtOrAfter(const std::string& channel, Timestamp ts) const;
 
   std::vector<std::string> ListChannels(const std::string& prefix) const;
@@ -170,9 +191,10 @@ class MessageQueue {
     int64_t end_offset = 0;    ///< One past the last committed offset.
     Timestamp truncated_ts = 0;         ///< Max LSN dropped by truncation.
     Timestamp truncated_delete_ts = 0;  ///< Max kDelete LSN dropped.
-    /// Worst observed LSN inversion: max over committed entries of
-    /// (running max LSN at install) - (entry LSN). FirstOffsetAtOrAfter's
-    /// walk-back bound.
+    Timestamp max_lsn = 0;              ///< Max LSN ever committed.
+    /// Worst observed LSN inversion (hand-stamped publishes only): max
+    /// over committed entries of (running max LSN at install) - (entry
+    /// LSN). FirstOffsetAtOrAfter's walk-back bound.
     Timestamp max_inversion = 0;
     std::vector<std::shared_ptr<const Chunk>> chunks;  ///< By first_offset.
   };
@@ -202,8 +224,6 @@ class MessageQueue {
                                       ///< (and the lingering leader).
     std::vector<Pending> pending;     ///< The filling group (N+1).
     bool flusher_active = false;      ///< A leader is draining pending.
-    Timestamp max_lsn_seen = 0;       ///< Running max LSN (flusher-owned,
-                                      ///< under mu).
     /// Committed view. Writers replace `snap_owner` under `mu` (via
     /// InstallSnapshot) and publish the raw pointer through `snap_raw`;
     /// readers go through SnapRef and never touch `mu`. A superseded
@@ -258,6 +278,10 @@ class MessageQueue {
   static void InstallSnapshot(ChannelState* state,
                               std::shared_ptr<const Snapshot> next);
 
+  /// Gives `entry` (unstamped) its LSN block from tso_; caller holds the
+  /// channel mutex, so staging order is LSN order.
+  void StampLocked(LogEntry* entry);
+
   ChannelState* GetOrCreate(const std::string& channel);
   const ChannelState* Find(const std::string& channel) const;
 
@@ -271,6 +295,7 @@ class MessageQueue {
   /// held; clears flusher_active on exit.
   void RunFlusher(ChannelState* state, std::unique_lock<std::mutex>& lk);
 
+  Tso* tso_ = nullptr;  ///< Stamps unstamped entries; null = never stamp.
   mutable std::mutex channels_mu_;
   std::map<std::string, std::unique_ptr<ChannelState>> channels_;
   std::atomic<bool> shutdown_{false};

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "wal/mq.h"
-#include "wal/tso.h"
 
 namespace manu {
 
@@ -21,11 +20,16 @@ namespace manu {
 /// exactly this interval).
 ///
 /// The paper has loggers write ticks into the channels they own; here one
-/// emitter thread serves all channels, equivalent because the single Tso
-/// already serializes timestamp order.
+/// emitter thread serves all channels. Ticks are published unstamped: the
+/// broker (built over the Tso) stamps each one at staging, after every
+/// entry already staged in that channel, which is what makes the promise
+/// hold.
+///
+/// Strong (tau=0) reads do not wait for the interval: Fence() publishes a
+/// tick on demand into each channel that lags the read's timestamp.
 class TimeTickEmitter {
  public:
-  TimeTickEmitter(MessageQueue* mq, Tso* tso, int64_t interval_ms);
+  TimeTickEmitter(MessageQueue* mq, int64_t interval_ms);
   ~TimeTickEmitter();
 
   TimeTickEmitter(const TimeTickEmitter&) = delete;
@@ -40,6 +44,14 @@ class TimeTickEmitter {
   /// Emits one round of ticks immediately (tests use this to avoid sleeping).
   void TickNow();
 
+  /// The read fence of a strong search at `read_ts`: for each of the
+  /// collection's `num_shards` shard channels whose committed LSN is below
+  /// `read_ts`, publishes one tick, which staging stamps above `read_ts`.
+  /// A channel already at or past `read_ts` is skipped: entries are
+  /// stamped in staging order, so nothing below its tail can still arrive.
+  /// Counted as wal.fence_ticks (ticks committed) / wal.fence_skips.
+  void Fence(CollectionId collection, int32_t num_shards, Timestamp read_ts);
+
   void Stop();
 
   int64_t interval_ms() const { return interval_ms_; }
@@ -51,9 +63,11 @@ class TimeTickEmitter {
   };
 
   void Run();
+  /// Publishes one unstamped tick; returns its offset, or -1 if refused.
+  int64_t PublishTick(const std::string& channel, CollectionId collection,
+                      ShardId shard);
 
   MessageQueue* mq_;
-  Tso* tso_;
   int64_t interval_ms_;
 
   std::mutex mu_;

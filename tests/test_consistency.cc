@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -36,8 +37,9 @@ EntityBatch VecBatch(const CollectionMeta& meta, const VectorDataset& data,
 }
 
 /// With time-ticks effectively disabled, the consistency gate is exposed
-/// directly: a node's service timestamp only advances on data entries, so
-/// whether a query waits (and times out) depends purely on tau.
+/// directly: a node's service timestamp only advances on the entries
+/// consumed from the log — data entries, and the ticks a strong read's own
+/// fence publishes — so whether a query waits depends on tau.
 class ConsistencyGateTest : public ::testing::Test {
  protected:
   ConsistencyGateTest() {
@@ -86,13 +88,31 @@ class ConsistencyGateTest : public ::testing::Test {
   VectorDataset data_;
 };
 
-TEST_F(ConsistencyGateTest, StrongTimesOutWithoutTicks) {
-  // Strong consistency needs Ls >= Lr, but nothing advances Ls after the
-  // insert: the query must wait the full bound and fail.
+TEST_F(ConsistencyGateTest, StrongReadFencesWithoutPeriodicTicks) {
+  // Strong consistency needs Ls >= Lr, and nothing periodic advances Ls
+  // after the insert: the read fences the log itself, one tick per lagging
+  // shard channel, and returns well inside max_consistency_wait_ms.
+  auto& metrics = MetricsRegistry::Global();
+  const int64_t ticks0 = metrics.CounterValue("wal.fence_ticks");
   const int64_t t0 = NowMs();
   auto res = db_->Search(Req(ConsistencyLevel::kStrong));
   const int64_t elapsed = NowMs() - t0;
-  ASSERT_FALSE(res.ok()) << "strong read succeeded without ticks after "
+  ASSERT_TRUE(res.ok()) << res.status().ToString() << " after " << elapsed
+                        << "ms";
+  EXPECT_EQ(res.value().ids[0], 0);
+  EXPECT_LT(elapsed, 200);
+  EXPECT_EQ(metrics.CounterValue("wal.fence_ticks") - ticks0,
+            meta_.num_shards);
+}
+
+TEST_F(ConsistencyGateTest, StrongTimesOutWhenTheFenceCannotLand) {
+  // The broker refuses every publish, so the fence's ticks never reach the
+  // log: nothing advances Ls, and the strong read waits out the bound.
+  ScopedFailPoint refuse("mq.publish", FailPointPolicy());
+  const int64_t t0 = NowMs();
+  auto res = db_->Search(Req(ConsistencyLevel::kStrong));
+  const int64_t elapsed = NowMs() - t0;
+  ASSERT_FALSE(res.ok()) << "strong read succeeded without a fence after "
                          << elapsed << "ms";
   EXPECT_TRUE(res.status().IsTimeout()) << res.status().ToString();
   EXPECT_GE(elapsed, 240) << res.status().ToString();
@@ -155,6 +175,113 @@ TEST(ConsistencyLive, TicksUnblockStrongReads) {
     ASSERT_TRUE(res.ok()) << res.status().ToString();
     EXPECT_EQ(res.value().ids[0], 3);
   }
+}
+
+/// Set on the thread whose WAL publish the ordering test holds.
+thread_local bool tl_hold_publish = false;
+
+TEST(ConsistencyOrdering, TickCannotPassAHeldInsert) {
+  // An insert sits inside mq.publish while periodic ticks keep flowing.
+  // Stamped before staging, it would land below ticks already in the
+  // channel: a snapshot at a timestamp the nodes have served past would
+  // change under a reader. Stamped at staging, it lands above them.
+  ManuConfig config;
+  config.num_shards = 2;
+  config.segment_seal_rows = 100000;
+  config.segment_idle_seal_ms = 600000;
+  config.time_tick_interval_ms = 5;
+  ManuInstance db(config);
+  auto meta = db.CreateCollection(VecSchema("order", 8));
+  ASSERT_TRUE(meta.ok());
+  SyntheticOptions opts;
+  opts.num_rows = 100;
+  opts.dim = 8;
+  VectorDataset data = MakeClusteredDataset(opts);
+  auto base = db.Insert("order", VecBatch(meta.value(), data, 0, 100));
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(db.WaitUntilVisible("order", base.value(), 5000).ok());
+
+  // The held rows are exact copies of the query vector: any snapshot that
+  // holds them ranks them first.
+  EntityBatch held_batch;
+  for (int64_t pk = 1000; pk < 1010; ++pk) held_batch.primary_keys.push_back(pk);
+  std::vector<float> copies;
+  for (int i = 0; i < 10; ++i) {
+    copies.insert(copies.end(), data.Row(0), data.Row(0) + 8);
+  }
+  held_batch.columns.push_back(FieldColumn::MakeFloatVector(
+      meta.value().schema.FieldByName("v")->id, 8, std::move(copies)));
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool released = false;
+  FailPointPolicy hold = FailPointPolicy::Panic([&] {
+    if (!tl_hold_publish) return Status::OK();
+    tl_hold_publish = false;  // Hold the first publish only.
+    std::unique_lock<std::mutex> lk(mu);
+    held = true;
+    cv.notify_all();
+    cv.wait(lk, [&] { return released; });
+    return Status::OK();
+  });
+  ScopedFailPoint fp("mq.publish", hold);
+  std::promise<Result<Timestamp>> inserted;
+  std::thread inserter([&] {
+    tl_hold_publish = true;
+    inserted.set_value(db.Insert("order", std::move(held_batch)));
+  });
+  auto release = [&] {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      released = true;
+    }
+    cv.notify_all();
+    if (inserter.joinable()) inserter.join();
+  };
+  // Releases the insert on every exit, failed assertions included.
+  struct Releaser {
+    std::function<void()> fn;
+    ~Releaser() { fn(); }
+  } releaser{release};
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(5), [&] { return held; }));
+  }
+
+  const Timestamp t = db.tso()->Allocate();
+  for (const auto& node : db.query_coord()->Nodes()) {
+    ASSERT_TRUE(node->WaitServiceTs(meta.value().id, t, 5000));
+  }
+  SearchRequest req;
+  req.collection = "order";
+  req.query.assign(data.Row(0), data.Row(0) + 8);
+  req.k = 20;
+  req.travel_ts = t;
+  auto before = db.Search(req);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  release();
+  auto ack = inserted.get_future().get();
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_GT(ack.value(), t);
+  ASSERT_TRUE(db.WaitUntilVisible("order", ack.value(), 5000).ok());
+
+  for (ShardId shard = 0; shard < meta.value().num_shards; ++shard) {
+    const std::string channel = ShardChannelName(meta.value().id, shard);
+    auto sub = db.mq()->SubscribeAt(channel, db.mq()->BeginOffset(channel));
+    const auto entries = sub->TryPoll(1 << 20);
+    for (size_t i = 1; i < entries.size(); ++i) {
+      EXPECT_GE(entries[i]->timestamp, entries[i - 1]->timestamp)
+          << channel << " entry " << i << " ("
+          << ToString(entries[i]->type) << ") is stamped below entry "
+          << i - 1 << " (" << ToString(entries[i - 1]->type) << ")";
+    }
+  }
+  auto after = db.Search(req);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().ids, before.value().ids)
+      << "the snapshot at a served timestamp changed";
 }
 
 TEST(Recovery, GrowingDataSurvivesPrimaryCrash) {

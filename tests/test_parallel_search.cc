@@ -475,7 +475,7 @@ TEST(DeleteBuffer, IntermediateTombstonesReplayedToLoadedSegments) {
   EntityBatch rows = MakeBatch(*fx.schema, &fx.tso, pks);
   PublishInsert(&fx.mq, /*segment=*/100, rows);
 
-  const Timestamp t1 = PublishDelete(&fx.mq, &fx.tso, {2});
+  PublishDelete(&fx.mq, &fx.tso, {2});
   const Timestamp between = fx.tso.Allocate();
   const EntityBatch reinsert = MakeBatch(*fx.schema, &fx.tso, {2});
   const Timestamp reinsert_ts = PublishInsert(&fx.mq, /*segment=*/100,
@@ -506,7 +506,7 @@ TEST(DeleteBuffer, IntermediateTombstonesReplayedToLoadedSegments) {
     for (const auto& hit : res.value()) n += hit.pk == 2 ? 1 : 0;
     return n;
   };
-  EXPECT_EQ(count_pk2(between), 0);      // t1 applies: first version hidden.
+  EXPECT_EQ(count_pk2(between), 0);      // First delete hides version 1.
   EXPECT_EQ(count_pk2(reinsert_ts), 1);  // Reinserted version visible.
   EXPECT_EQ(count_pk2(t2), 0);           // Second delete hides it again.
   EXPECT_EQ(count_pk2(kMaxTimestamp), 0);

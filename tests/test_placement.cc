@@ -147,7 +147,9 @@ TEST(PlacementUnit, ReconcilerTopsUpUnderReplicatedGroups) {
   // The heaviest node (1, and already a member of group 40) never receives
   // group 40's top-up.
   for (const auto& op : ops) {
-    if (op.segment == 40) EXPECT_NE(op.node, 1);
+    if (op.segment == 40) {
+      EXPECT_NE(op.node, 1);
+    }
   }
 }
 

@@ -423,6 +423,56 @@ TEST(MessageQueue, FirstOffsetAtOrAfterSpansMultiEntryInversions) {
   EXPECT_EQ(mq2.FirstOffsetAtOrAfter("ch", 101), 3);
 }
 
+TEST(MessageQueue, StampsUnstampedEntriesAtStaging) {
+  // Over a Tso, an unstamped insert gets one LSN per row and the ack
+  // reports the last; a hand-stamped entry keeps its timestamp.
+  Tso tso;
+  MessageQueue mq(&tso);
+  EXPECT_EQ(mq.CommittedLsn("ch"), 0u);
+  LogEntry insert;
+  insert.type = LogEntryType::kInsert;
+  insert.batch.primary_keys = {1, 2, 3};
+  Timestamp lsn = 0;
+  ASSERT_EQ(mq.Publish("ch", std::move(insert), {}, nullptr, &lsn), 0);
+  auto entries = mq.Subscribe("ch", SubscribePosition::kEarliest)->TryPoll(10);
+  ASSERT_EQ(entries.size(), 1u);
+  const auto& rows = entries[0]->batch.timestamps;
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1], rows[0] + 1);
+  EXPECT_EQ(rows[2], rows[0] + 2);
+  EXPECT_EQ(entries[0]->timestamp, rows[2]);
+  EXPECT_EQ(lsn, rows[2]);
+  EXPECT_EQ(mq.CommittedLsn("ch"), rows[2]);
+
+  ASSERT_EQ(mq.Publish("ch", Tick(5), {}, nullptr, &lsn), 1);
+  EXPECT_EQ(lsn, 5u);
+  EXPECT_EQ(mq.CommittedLsn("ch"), rows[2]);  // The max, not the tail.
+  ASSERT_EQ(mq.Publish("ch", LogEntry{}, {}, nullptr, &lsn), 2);
+  EXPECT_GT(lsn, rows[2]);
+  EXPECT_EQ(mq.CommittedLsn("ch"), lsn);
+}
+
+TEST(MessageQueue, ConcurrentStampedPublishesCommitInLsnOrder) {
+  // Stamping under the channel mutex makes commit order LSN order however
+  // publishers interleave, so the inversion bound stays zero.
+  Tso tso;
+  MessageQueue mq(&tso);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < 200; ++i) mq.Publish("ch", LogEntry{});
+    });
+  }
+  for (auto& t : writers) t.join();
+  auto entries = mq.Subscribe("ch", SubscribePosition::kEarliest)->TryPoll(1000);
+  ASSERT_EQ(entries.size(), 800u);
+  for (size_t i = 1; i < entries.size(); ++i) {
+    ASSERT_GT(entries[i]->timestamp, entries[i - 1]->timestamp) << i;
+  }
+  // With no inversion, the lookup is a plain binary search.
+  EXPECT_EQ(mq.FirstOffsetAtOrAfter("ch", entries[400]->timestamp), 400);
+}
+
 // ---------------------------------------------------------------------------
 // Truncation gap surfacing
 // ---------------------------------------------------------------------------
@@ -540,9 +590,9 @@ TEST(MessageQueue, StressPublishTruncatePollShutdown) {
 // ---------------------------------------------------------------------------
 
 TEST(TimeTick, EmitsIntoRegisteredChannels) {
-  MessageQueue mq;
   Tso tso;
-  TimeTickEmitter ticker(&mq, &tso, /*interval_ms=*/5);
+  MessageQueue mq(&tso);
+  TimeTickEmitter ticker(&mq, /*interval_ms=*/5);
   ticker.RegisterChannel("wal/c1/s0", 1, 0);
   ticker.RegisterChannel("wal/c1/s1", 1, 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
@@ -561,9 +611,9 @@ TEST(TimeTick, EmitsIntoRegisteredChannels) {
 }
 
 TEST(TimeTick, UnregisterStopsTicks) {
-  MessageQueue mq;
   Tso tso;
-  TimeTickEmitter ticker(&mq, &tso, 1000000);  // Never fires on its own.
+  MessageQueue mq(&tso);
+  TimeTickEmitter ticker(&mq, 1000000);  // Never fires on its own.
   ticker.RegisterChannel("ch", 1, 0);
   ticker.TickNow();
   ticker.UnregisterChannel("ch");
@@ -575,9 +625,9 @@ TEST(TimeTick, UnregisterStopsTicks) {
 
 TEST(TimeTick, TickDominatesPriorPublishes) {
   // A tick's timestamp must be >= every LSN already in the channel.
-  MessageQueue mq;
   Tso tso;
-  TimeTickEmitter ticker(&mq, &tso, 1000000);
+  MessageQueue mq(&tso);
+  TimeTickEmitter ticker(&mq, 1000000);
   ticker.RegisterChannel("ch", 1, 0);
   LogEntry data;
   data.type = LogEntryType::kInsert;
@@ -589,6 +639,31 @@ TEST(TimeTick, TickDominatesPriorPublishes) {
   auto entries = sub->TryPoll(10);
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_GT(entries[1]->timestamp, entries[0]->timestamp);
+}
+
+TEST(TimeTick, FenceTicksOnlyLaggingChannels) {
+  // A read fence at read_ts ticks the shard channels whose committed LSN is
+  // below it, skips the rest, and its tick lands above read_ts.
+  Tso tso;
+  MessageQueue mq(&tso);
+  TimeTickEmitter ticker(&mq, 1000000);
+  const std::string s0 = ShardChannelName(1, 0);
+  const std::string s1 = ShardChannelName(1, 1);
+  const Timestamp read_ts = tso.Allocate();
+  mq.Publish(s0, LogEntry{});  // Stamped past read_ts.
+  auto& metrics = MetricsRegistry::Global();
+  const int64_t ticks0 = metrics.CounterValue("wal.fence_ticks");
+  const int64_t skips0 = metrics.CounterValue("wal.fence_skips");
+  ticker.Fence(1, 2, read_ts);
+  ticker.Stop();
+  EXPECT_EQ(metrics.CounterValue("wal.fence_ticks") - ticks0, 1);
+  EXPECT_EQ(metrics.CounterValue("wal.fence_skips") - skips0, 1);
+  EXPECT_EQ(mq.EndOffset(s0), 1);
+  auto entries = mq.Subscribe(s1, SubscribePosition::kEarliest)->TryPoll(10);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0]->type, LogEntryType::kTimeTick);
+  EXPECT_EQ(entries[0]->shard, 1);
+  EXPECT_GT(entries[0]->timestamp, read_ts);
 }
 
 // ---------------------------------------------------------------------------
