@@ -192,17 +192,20 @@ TEST(Pipeline, IdleSealTriggersWithoutFlush) {
   VectorDataset data = MakeClusteredDataset(opts);
   ASSERT_TRUE(db.Insert("idle", VecBatch(meta.value(), data, 0, 100)).ok());
 
-  // Wait for the idle checker to roll + data nodes to seal.
+  // Wait for the idle checker to roll + data nodes to seal. Each shard's
+  // segment registers on its own, so wait for all rows, not the first one.
+  auto sealed_rows = [&] {
+    int64_t rows = 0;
+    for (const auto& s : db.data_coord()->ListSegments(meta.value().id)) {
+      rows += s.num_rows;
+    }
+    return rows;
+  };
   const int64_t deadline = NowMs() + 5000;
-  while (db.data_coord()->ListSegments(meta.value().id).empty() &&
-         NowMs() < deadline) {
+  while (sealed_rows() < 100 && NowMs() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  auto segments = db.data_coord()->ListSegments(meta.value().id);
-  ASSERT_FALSE(segments.empty());
-  int64_t rows = 0;
-  for (const auto& s : segments) rows += s.num_rows;
-  EXPECT_EQ(rows, 100);
+  EXPECT_EQ(sealed_rows(), 100);
 }
 
 TEST(Logger, DeleteOfUnknownPkIsFiltered) {
